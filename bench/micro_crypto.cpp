@@ -3,10 +3,14 @@
 // the full-crypto simulation mode.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "crypto/prime.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha1.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernel.hpp"
 #include "crypto/stream_cipher.hpp"
 #include "onion/onion.hpp"
 
@@ -41,6 +45,29 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
+
+// One 64-byte compression per iteration through one kernel; registered
+// once per kernel this CPU can run, labelled with the kernel's name.
+void BM_Sha256Compress(benchmark::State& state,
+                       const crypto::sha256_kernel::Kernel& kernel) {
+  util::Rng rng(2);
+  const auto block = random_bytes(rng, 64);
+  crypto::sha256_kernel::State h{};
+  for (auto _ : state) {
+    kernel.compress(h, block.data(), 1);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetLabel(kernel.name);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+const bool kSha256CompressRegistered = [] {
+  for (const auto& kernel : crypto::sha256_kernel::available()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Sha256Compress/") + kernel.name).c_str(),
+        BM_Sha256Compress, kernel);
+  }
+  return true;
+}();
 
 void BM_HmacSha256(benchmark::State& state) {
   util::Rng rng(3);
@@ -125,44 +152,50 @@ void BM_RsaHybridEncrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaHybridEncrypt)->Arg(64)->Arg(1024);
 
-void BM_OnionBuild(benchmark::State& state) {
-  util::Rng rng(9);
-  const auto owner = crypto::Identity::generate(rng, 128);
-  std::vector<onion::RelayInfo> relays;
+// Onion exhibits at two key sizes: 64 bits is Params::rsa_bits' default
+// (what the simulations mint), 128 bits the earlier exhibits' size.
+struct Circuit {
+  crypto::Identity owner;
   std::vector<crypto::Identity> relay_ids;
-  for (int i = 0; i < state.range(0); ++i) {
-    relay_ids.push_back(crypto::Identity::generate(rng, 128));
-    relays.push_back({static_cast<net::NodeIndex>(i + 1),
-                      relay_ids.back().anonymity_public()});
+  std::vector<onion::RelayInfo> relays;
+};
+
+Circuit make_circuit(util::Rng& rng, unsigned bits, std::int64_t hops) {
+  Circuit c{crypto::Identity::generate(rng, bits), {}, {}};
+  for (std::int64_t i = 0; i < hops; ++i) {
+    c.relay_ids.push_back(crypto::Identity::generate(rng, bits));
+    c.relays.push_back({static_cast<net::NodeIndex>(i + 1),
+                        c.relay_ids.back().anonymity_public()});
   }
+  return c;
+}
+
+void BM_OnionBuild(benchmark::State& state, unsigned bits) {
+  util::Rng rng(9);
+  const Circuit c = make_circuit(rng, bits, state.range(0));
   std::uint64_t sq = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(onion::build_onion(rng, owner, 0, relays, sq++));
+    benchmark::DoNotOptimize(onion::build_onion(rng, c.owner, 0, c.relays, sq++));
   }
 }
-BENCHMARK(BM_OnionBuild)->Arg(3)->Arg(5)->Arg(10);
+BENCHMARK_CAPTURE(BM_OnionBuild, rsa64, 64u)->Arg(3)->Arg(5)->Arg(10);
+BENCHMARK_CAPTURE(BM_OnionBuild, rsa128, 128u)->Arg(3)->Arg(5)->Arg(10);
 
-void BM_OnionPeelFullCircuit(benchmark::State& state) {
+void BM_OnionPeelFullCircuit(benchmark::State& state, unsigned bits) {
   util::Rng rng(10);
-  const auto owner = crypto::Identity::generate(rng, 128);
-  std::vector<onion::RelayInfo> relays;
-  std::vector<crypto::Identity> relay_ids;
-  for (int i = 0; i < state.range(0); ++i) {
-    relay_ids.push_back(crypto::Identity::generate(rng, 128));
-    relays.push_back({static_cast<net::NodeIndex>(i + 1),
-                      relay_ids.back().anonymity_public()});
-  }
-  const auto onion = onion::build_onion(rng, owner, 0, relays, 1);
+  const Circuit c = make_circuit(rng, bits, state.range(0));
+  const auto onion = onion::build_onion(rng, c.owner, 0, c.relays, 1);
   for (auto _ : state) {
     util::Bytes blob = onion.blob;
-    for (std::size_t i = relay_ids.size(); i-- > 0;) {
-      auto peeled = onion::peel(blob, relay_ids[i].anonymity_private());
+    for (std::size_t i = c.relay_ids.size(); i-- > 0;) {
+      auto peeled = onion::peel(blob, c.relay_ids[i].anonymity_private());
       blob = std::move(peeled->inner);
     }
-    benchmark::DoNotOptimize(onion::peel(blob, owner.anonymity_private()));
+    benchmark::DoNotOptimize(onion::peel(blob, c.owner.anonymity_private()));
   }
 }
-BENCHMARK(BM_OnionPeelFullCircuit)->Arg(3)->Arg(5)->Arg(10);
+BENCHMARK_CAPTURE(BM_OnionPeelFullCircuit, rsa64, 64u)->Arg(3)->Arg(5)->Arg(10);
+BENCHMARK_CAPTURE(BM_OnionPeelFullCircuit, rsa128, 128u)->Arg(3)->Arg(5)->Arg(10);
 
 void BM_BigIntMul(benchmark::State& state) {
   util::Rng rng(11);

@@ -126,22 +126,21 @@ BigInt rsa_decrypt_raw(const RsaPrivateKey& key, const BigInt& c) {
 
 namespace {
 
-StreamCipher::Key kem_key(const BigInt& r, std::uint8_t domain) {
-  // Domain-separated KDF: cipher key (domain 0) and MAC key (domain 1).
-  auto rb = r.to_bytes();
-  rb.push_back(domain);
-  const auto digest = Sha256::hash(rb);
-  StreamCipher::Key key;
-  std::copy(digest.begin(), digest.end(), key.begin());
-  return key;
+// Domain-separated KDF: cipher key (domain 0) and MAC key (domain 1), each
+// SHA256(bytes(r) || domain).
+StreamCipher::Key kem_key(std::span<const std::uint8_t> r_bytes,
+                          std::uint8_t domain) {
+  Sha256 h;
+  h.update(r_bytes);
+  h.update(std::span(&domain, 1));
+  return h.finish();
 }
 
 constexpr std::size_t kMacBytes = 16;
 
-util::Bytes mac_of(const StreamCipher::Key& mac_key,
-                   std::span<const std::uint8_t> ct) {
-  const auto digest = hmac_sha256(mac_key, ct);
-  return util::Bytes(digest.begin(), digest.begin() + kMacBytes);
+Sha256::Digest mac_of(std::span<const std::uint8_t> r_bytes,
+                      std::span<const std::uint8_t> ct) {
+  return hmac_sha256(kem_key(r_bytes, 1), ct);
 }
 
 }  // namespace
@@ -160,17 +159,18 @@ util::Bytes rsa_encrypt_bytes(util::Rng& rng, const RsaPublicKey& key,
     r = BigInt::random_below(rng, key.n);
   } while (r < BigInt(2));
   const BigInt c0 = rsa_encrypt_raw(key, r);
+  const util::Bytes rb = r.to_bytes();
 
-  StreamCipher cipher(kem_key(r, 0));
+  StreamCipher cipher(kem_key(rb, 0));
   util::Bytes ct(data.begin(), data.end());
   cipher.apply(ct);
-  const util::Bytes mac = mac_of(kem_key(r, 1), ct);
+  const auto mac = mac_of(rb, ct);
 
   util::ByteWriter w;
   const auto c0b = c0.to_bytes();
   w.blob(c0b);
   w.blob(ct);
-  w.blob(mac);
+  w.blob(std::span(mac).first(kMacBytes));
   return w.take();
 }
 
@@ -183,17 +183,21 @@ std::optional<util::Bytes> rsa_decrypt_bytes(const RsaPrivateKey& key,
   }
   try {
     util::ByteReader reader(data);
-    const util::Bytes c0b = reader.blob();
-    util::Bytes ct = reader.blob();
-    const util::Bytes mac = reader.blob();
+    const auto c0b = reader.blob_view();
+    const auto ct_in = reader.blob_view();
+    const auto mac = reader.blob_view();
     if (!reader.done()) return std::nullopt;
     const BigInt c0 = BigInt::from_bytes(c0b);
     if (c0 >= key.n) return std::nullopt;
-    const BigInt r = rsa_decrypt_raw(key, c0);
+    const util::Bytes rb = rsa_decrypt_raw(key, c0).to_bytes();
     // Authenticate before decrypting: a wrong private key (or tampering)
     // fails here deterministically instead of yielding garbage plaintext.
-    if (!util::ct_equal(mac, mac_of(kem_key(r, 1), ct))) return std::nullopt;
-    StreamCipher cipher(kem_key(r, 0));
+    const auto expected = mac_of(rb, ct_in);
+    if (!util::ct_equal(mac, std::span(expected).first(kMacBytes))) {
+      return std::nullopt;
+    }
+    util::Bytes ct(ct_in.begin(), ct_in.end());
+    StreamCipher cipher(kem_key(rb, 0));
     cipher.apply(ct);
     return ct;
   } catch (const util::TruncatedInput&) {

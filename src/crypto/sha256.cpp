@@ -1,28 +1,32 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
+
+#include "crypto/sha256_kernel.hpp"
 
 namespace hirep::crypto {
 
 namespace {
 
-constexpr std::uint32_t rotr(std::uint32_t x, int k) noexcept {
-  return (x >> k) | (x << (32 - k));
+// Big-endian 32-bit store.  It compiles to one byte swap and one 4-byte
+// store, which the kernel's 16-byte loads can forward from; byte-at-a-time
+// stores stall them.
+void store_be32(std::uint8_t* p, std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = (v >> 24) | ((v >> 8) & 0xff00u) | ((v << 8) & 0xff0000u) | (v << 24);
+  }
+  std::memcpy(p, &v, sizeof(v));
 }
 
-constexpr std::array<std::uint32_t, 64> kRoundConstants = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+void compress(sha256_kernel::State& state, const std::uint8_t* blocks,
+              std::size_t n_blocks) {
+  static const sha256_kernel::CompressFn kernel =
+      sha256_kernel::active().compress;
+  kernel(state, blocks, n_blocks);
+}
 
 }  // namespace
 
@@ -32,21 +36,24 @@ Sha256::Sha256()
 
 void Sha256::update(std::span<const std::uint8_t> data) {
   assert(!finished_);
+  // An empty span may carry a null data(); memcpy from it is undefined
+  // even for zero bytes.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
-    const std::size_t take = std::min(data.size(), buffer_.size() - buffer_len_);
+    const std::size_t take = std::min(data.size(), kBlockSize - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
     buffer_len_ += take;
     offset = take;
-    if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < kBlockSize) return;
+    compress(h_, buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t blocks = (data.size() - offset) / kBlockSize;
+  if (blocks > 0) {
+    compress(h_, data.data() + offset, blocks);
+    offset += blocks * kBlockSize;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -60,70 +67,23 @@ void Sha256::update(const std::string& s) {
 
 Sha256::Digest Sha256::finish() {
   assert(!finished_);
-  const std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad[72] = {0x80};
-  const std::size_t pad_len =
-      (buffer_len_ < 56) ? 56 - buffer_len_ : 120 - buffer_len_;
-  update(std::span(pad, pad_len));
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  update(std::span(len_be, 8));
   finished_ = true;
+  // Pad in place: 0x80, zeros to 56 mod 64, then the bit length big-endian.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    compress(h_, buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  const std::uint64_t bit_len = total_len_ * 8;
+  store_be32(buffer_.data() + kBlockSize - 8, static_cast<std::uint32_t>(bit_len >> 32));
+  store_be32(buffer_.data() + kBlockSize - 4, static_cast<std::uint32_t>(bit_len));
+  compress(h_, buffer_.data(), 1);
 
   Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(h_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(h_[i]);
-  }
+  for (std::size_t i = 0; i < h_.size(); ++i) store_be32(out.data() + 4 * i, h_[i]);
   return out;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
 }
 
 Sha256::Digest Sha256::hash(std::span<const std::uint8_t> data) {
@@ -138,31 +98,36 @@ Sha256::Digest Sha256::hash(const std::string& s) {
   return h.finish();
 }
 
-Sha256::Digest hmac_sha256(std::span<const std::uint8_t> key,
-                           std::span<const std::uint8_t> message) {
-  std::array<std::uint8_t, 64> block{};
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
+  std::array<std::uint8_t, Sha256::kBlockSize> block{};
   if (key.size() > block.size()) {
     const auto digest = Sha256::hash(key);
     std::memcpy(block.data(), digest.data(), digest.size());
-  } else {
+  } else if (!key.empty()) {  // an empty key's data() may be null
     std::memcpy(block.data(), key.data(), key.size());
   }
 
-  std::array<std::uint8_t, 64> ipad, opad;
-  for (std::size_t i = 0; i < 64; ++i) {
+  std::array<std::uint8_t, Sha256::kBlockSize> ipad, opad;
+  for (std::size_t i = 0; i < block.size(); ++i) {
     ipad[i] = block[i] ^ 0x36;
     opad[i] = block[i] ^ 0x5c;
   }
+  inner_.update(ipad);
+  outer_.update(opad);
+}
 
-  Sha256 inner;
-  inner.update(std::span<const std::uint8_t>(ipad));
+Sha256::Digest HmacSha256::mac(std::span<const std::uint8_t> message) const {
+  Sha256 inner = inner_;
   inner.update(message);
   const auto inner_digest = inner.finish();
-
-  Sha256 outer;
-  outer.update(std::span<const std::uint8_t>(opad));
-  outer.update(std::span<const std::uint8_t>(inner_digest));
+  Sha256 outer = outer_;
+  outer.update(inner_digest);
   return outer.finish();
+}
+
+Sha256::Digest hmac_sha256(std::span<const std::uint8_t> key,
+                           std::span<const std::uint8_t> message) {
+  return HmacSha256(key).mac(message);
 }
 
 }  // namespace hirep::crypto

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <span>
 
+#include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
 
 namespace hirep::crypto {
@@ -30,10 +31,10 @@ class StreamCipher {
  private:
   void refill();
 
-  Key key_;
+  HmacSha256 prf_;  ///< keyed once; each block costs two compressions
   std::uint64_t nonce_;
   std::uint64_t counter_ = 0;
-  std::array<std::uint8_t, 32> block_{};
+  Sha256::Digest block_{};
   std::size_t block_used_ = sizeof(block_);
 };
 

@@ -65,16 +65,25 @@ std::uint64_t ByteReader::u64() {
 double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 
 Bytes ByteReader::raw(std::size_t n) {
-  need(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
+  const auto view = raw_view(n);
+  return Bytes(view.begin(), view.end());
 }
 
 Bytes ByteReader::blob() {
+  const auto view = blob_view();
+  return Bytes(view.begin(), view.end());
+}
+
+std::span<const std::uint8_t> ByteReader::raw_view(std::size_t n) {
+  need(n);
+  const auto view = data_.subspan(pos_, n);
+  pos_ += n;
+  return view;
+}
+
+std::span<const std::uint8_t> ByteReader::blob_view() {
   const std::uint32_t n = u32();
-  return raw(n);
+  return raw_view(n);
 }
 
 std::string ByteReader::str() {

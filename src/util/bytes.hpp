@@ -52,6 +52,9 @@ class ByteReader {
   double f64();
   Bytes raw(std::size_t n);
   Bytes blob();
+  /// Like blob(), but views the input instead of copying; the span lives
+  /// as long as the buffer the reader was built over.
+  std::span<const std::uint8_t> blob_view();
   std::string str();
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
@@ -61,6 +64,7 @@ class ByteReader {
   void need(std::size_t n) const {
     if (remaining() < n) throw TruncatedInput();
   }
+  std::span<const std::uint8_t> raw_view(std::size_t n);
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crypto/sha1.hpp"
 #include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace hirep::crypto {
 namespace {
@@ -79,6 +82,24 @@ TEST(Sha256, StreamingMatchesOneShot) {
   EXPECT_EQ(h.finish(), Sha256::hash(msg));
 }
 
+// An empty chunk (whose data() may be null) must be a no-op wherever it
+// lands relative to the 64-byte block: start, mid-block, one byte short of
+// a full block, and right on the boundary.
+TEST(Sha256, EmptyChunksAtBlockOffsetsMatchOneShot) {
+  util::Bytes msg(150);
+  for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<std::uint8_t>(i * 7);
+  const std::span<const std::uint8_t> all(msg);
+  for (std::size_t offset : {0u, 1u, 63u, 64u}) {
+    Sha256 h;
+    h.update(std::span<const std::uint8_t>{});
+    h.update(all.first(offset));
+    h.update(std::span<const std::uint8_t>{});
+    h.update(all.subspan(offset));
+    h.update(std::span<const std::uint8_t>{});
+    EXPECT_EQ(h.finish(), Sha256::hash(msg)) << "offset " << offset;
+  }
+}
+
 TEST(Sha256, DistinctInputsDistinctDigests) {
   EXPECT_NE(Sha256::hash("a"), Sha256::hash("b"));
   EXPECT_NE(Sha256::hash(""), Sha256::hash(std::string(1, '\0')));
@@ -113,6 +134,44 @@ TEST(HmacSha256, Rfc4231Case6LongKey) {
                      msg.size()));
   EXPECT_EQ(util::to_hex(mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacSha256, EmptyKeyAndMessage) {
+  EXPECT_EQ(util::to_hex(hmac_sha256({}, {})),
+            "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
+  EXPECT_EQ(util::to_hex(HmacSha256({}).mac({})),
+            "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
+}
+
+// One keyed HmacSha256 reused across many messages must equal the one-shot
+// MAC every time: the midstates are copied per mac(), never consumed.
+TEST(HmacSha256, ReusedKeyMatchesOneShot) {
+  struct Case {
+    util::Bytes key;
+    std::string msg;
+    std::string mac_hex;
+  };
+  const std::vector<Case> cases = {
+      {util::Bytes(20, 0x0b), "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {util::Bytes{'J', 'e', 'f', 'e'}, "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {util::Bytes(131, 0xaa), "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+  };
+  util::Rng rng(4231);
+  for (const Case& c : cases) {
+    const HmacSha256 keyed(c.key);
+    const std::span rfc_msg(reinterpret_cast<const std::uint8_t*>(c.msg.data()),
+                            c.msg.size());
+    for (int round = 0; round < 50; ++round) {
+      util::Bytes other(rng.below(200));
+      for (auto& b : other) b = static_cast<std::uint8_t>(rng());
+      EXPECT_EQ(keyed.mac(other), hmac_sha256(c.key, other))
+          << "round " << round << ", length " << other.size();
+      EXPECT_EQ(util::to_hex(keyed.mac(rfc_msg)), c.mac_hex) << "round " << round;
+    }
+  }
 }
 
 TEST(HmacSha256, KeySensitivity) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "crypto/sha256.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace hirep::crypto {
@@ -60,6 +64,49 @@ TEST(StreamCipher, ChunkedApplicationMatchesWhole) {
 TEST(StreamCipher, EmptyInputIsNoop) {
   StreamCipher c(test_key(9));
   EXPECT_TRUE(c.transform({}).empty());
+}
+
+// The keystream is HMAC-SHA256(key, u64le(nonce) || u64le(counter)) for
+// counter = 0, 1, 2, ..., concatenated.  This pins the wire format the
+// onion layers depend on, independent of the full-crypto goldens.
+util::Bytes reference_keystream(const StreamCipher::Key& key, std::uint64_t nonce,
+                                std::size_t len) {
+  util::Bytes out;
+  for (std::uint64_t counter = 0; out.size() < len; ++counter) {
+    util::ByteWriter w;
+    w.u64(nonce);
+    w.u64(counter);
+    const auto block = hmac_sha256(key, w.bytes());
+    out.insert(out.end(), block.begin(), block.end());
+  }
+  out.resize(len);
+  return out;
+}
+
+TEST(StreamCipher, KeystreamKnownAnswer) {
+  const auto key = test_key(0x5a);
+  const std::uint64_t nonce = 0x0123456789abcdefULL;
+  // First two blocks from an independent HMAC-SHA256 implementation.
+  EXPECT_EQ(util::to_hex(reference_keystream(key, nonce, 64)),
+            "18347b3fd331594dfef316ba40a4bde3a072a70f78701cb8b91b3faf0c7ca360"
+            "08e7f3b5784c55798d1d35b0db07d62c4dbd00164d490248f9b3fda5e5c33f57");
+  util::Rng rng(32);
+  for (std::size_t len : {0u, 1u, 31u, 32u, 33u, 1000u}) {
+    const util::Bytes expected = reference_keystream(key, nonce, len);
+
+    StreamCipher whole(key, nonce);
+    EXPECT_EQ(whole.transform(util::Bytes(len, 0)), expected) << "whole, len " << len;
+
+    StreamCipher chunked(key, nonce);
+    util::Bytes actual(len, 0);
+    std::span<std::uint8_t> rest(actual);
+    while (!rest.empty()) {
+      const std::size_t n = std::min<std::size_t>(rest.size(), rng.below(70));
+      chunked.apply(rest.first(n));
+      rest = rest.subspan(n);
+    }
+    EXPECT_EQ(actual, expected) << "chunked, len " << len;
+  }
 }
 
 TEST(StreamCipher, KeystreamLooksBalanced) {

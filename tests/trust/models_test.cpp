@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/rng.hpp"
 
 namespace hirep::trust {
@@ -97,8 +99,11 @@ TEST(Models, CloneIsIndependentCopy) {
 }
 
 // Property: all models converge toward the true rate of a Bernoulli stream.
+// The model name is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, which would put an ASLR-dependent address into
+// every discovered test name.
 class ModelConvergence
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(ModelConvergence, TracksBernoulliRate) {
   const auto [name, rate] = GetParam();
@@ -112,7 +117,9 @@ TEST_P(ModelConvergence, TracksBernoulliRate) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ModelConvergence,
-    ::testing::Combine(::testing::Values("average", "ewma", "beta"),
+    ::testing::Combine(::testing::Values(std::string("average"),
+                                         std::string("ewma"),
+                                         std::string("beta")),
                        ::testing::Values(0.1, 0.5, 0.9)));
 
 TEST(Models, ValuesStayInUnitInterval) {

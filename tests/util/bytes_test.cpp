@@ -48,6 +48,18 @@ TEST(Bytes, TruncatedBlobThrows) {
   EXPECT_THROW(r.blob(), TruncatedInput);
 }
 
+TEST(Bytes, BlobViewAliasesTheInput) {
+  ByteWriter w;
+  w.blob(Bytes{4, 5, 6});
+  w.u32(100);  // a second blob header with no body
+  const Bytes buf = w.take();
+  ByteReader r(buf);
+  const auto view = r.blob_view();
+  EXPECT_EQ(Bytes(view.begin(), view.end()), (Bytes{4, 5, 6}));
+  EXPECT_EQ(view.data(), buf.data() + 4);  // no copy: points past the length
+  EXPECT_THROW(r.blob_view(), TruncatedInput);
+}
+
 TEST(Bytes, EmptyBlobOk) {
   ByteWriter w;
   w.blob(Bytes{});
