@@ -1,6 +1,12 @@
 // Micro-benchmarks for the hiREP core: bootstrap, transactions in both
-// crypto modes, trust queries, agent ranking, and EigenTrust.
+// crypto modes, trust queries, NodeId-keyed lookups, agent ranking, and
+// EigenTrust.
 #include <benchmark/benchmark.h>
+
+#include <deque>
+#include <map>
+#include <memory>
+#include <vector>
 
 #include "hirep/system.hpp"
 #include "trust/eigentrust.hpp"
@@ -61,6 +67,98 @@ void BM_QueryTrustFast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QueryTrustFast)->Unit(benchmark::kMicrosecond);
+
+// Cold NodeId-keyed lookups: an agent's key list and trust store, and the
+// system's nodeId -> ip map, are probed once per trusted agent per query.
+// Ids are visited in random order, so a large table misses cache the way a
+// long run does.
+
+std::vector<crypto::NodeId> random_ids(util::Rng& rng, std::size_t n) {
+  std::vector<crypto::NodeId> ids(n);
+  for (auto& id : ids) {
+    for (auto& b : id.bytes) b = static_cast<std::uint8_t>(rng.below(256));
+  }
+  return ids;
+}
+
+struct AgentTables {
+  explicit AgentTables(std::size_t nodes) : rng(4), truth(rng, world(nodes)) {
+    identities.push_back(crypto::Identity::generate(rng, 64));
+    agent = std::make_unique<core::ReputationAgent>(
+        &identities[0], 0, &truth, trust::ewma_model_factory(), 1);
+  }
+  static trust::WorldParams world(std::size_t nodes) {
+    trust::WorldParams w;
+    w.nodes = nodes;
+    w.malicious_ratio = 0.0;
+    return w;
+  }
+
+  util::Rng rng;
+  trust::GroundTruth truth;
+  std::deque<crypto::Identity> identities;
+  std::unique_ptr<core::ReputationAgent> agent;
+};
+
+void BM_AgentTrustValue(benchmark::State& state) {
+  const auto subjects = static_cast<std::size_t>(state.range(0));
+  AgentTables t(subjects);
+  const auto ids = random_ids(t.rng, subjects);
+  for (const auto& id : ids) t.agent->accept_report(id, 1.0);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(t.agent->trust_value(
+        ids[i], static_cast<net::NodeIndex>(i), t.rng));
+    if (++i == ids.size()) i = 0;
+  }
+}
+BENCHMARK(BM_AgentTrustValue)->ArgName("subjects")->Arg(100)->Arg(2000);
+
+void BM_AgentRegisterKnownKey(benchmark::State& state) {
+  constexpr std::size_t kRequestors = 2000;
+  AgentTables t(kRequestors);
+  std::vector<std::size_t> order(kRequestors);
+  for (std::size_t v = 0; v < kRequestors; ++v) {
+    t.identities.push_back(crypto::Identity::generate(t.rng, 64));
+    t.agent->register_key(t.identities.back().node_id(),
+                          t.identities.back().signature_public());
+    order[v] = v + 1;
+  }
+  t.rng.shuffle(order);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const crypto::Identity& id = t.identities[order[i]];
+    benchmark::DoNotOptimize(
+        t.agent->register_key(id.node_id(), id.signature_public()));
+    if (++i == order.size()) i = 0;
+  }
+}
+BENCHMARK(BM_AgentRegisterKnownKey);
+
+void BM_IpOf(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  // The harness may call this function more than once per argument; build
+  // each system once.
+  static std::map<std::size_t, std::unique_ptr<core::HirepSystem>> systems;
+  auto& system = systems[nodes];
+  if (!system) {
+    system = std::make_unique<core::HirepSystem>(
+        options(nodes, core::CryptoMode::kFast));
+  }
+  std::vector<crypto::NodeId> ids;
+  ids.reserve(nodes);
+  for (const auto& identity : system->identities()) {
+    ids.push_back(identity.node_id());
+  }
+  util::Rng rng(5);
+  rng.shuffle(ids);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(system->ip_of(ids[i]));
+    if (++i == ids.size()) i = 0;
+  }
+}
+BENCHMARK(BM_IpOf)->ArgName("nodes")->Arg(2000)->Arg(20000);
 
 void BM_RankAndSelect(benchmark::State& state) {
   util::Rng rng(2);

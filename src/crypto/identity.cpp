@@ -1,7 +1,5 @@
 #include "crypto/identity.hpp"
 
-#include <cstring>
-
 #include "check/invariants.hpp"
 #include "crypto/verify_cache.hpp"
 #include "util/bytes.hpp"
@@ -20,13 +18,6 @@ NodeId NodeId::of_key(const RsaPublicKey& signature_public_key) {
   NodeId id;
   id.bytes = Sha1::hash(signature_public_key.serialize());
   return id;
-}
-
-std::size_t NodeIdHash::operator()(const NodeId& id) const noexcept {
-  // The id is already a cryptographic hash; fold the first 8 bytes.
-  std::uint64_t v;
-  std::memcpy(&v, id.bytes.data(), sizeof(v));
-  return static_cast<std::size_t>(v);
 }
 
 Identity Identity::generate(util::Rng& rng, unsigned bits) {

@@ -16,6 +16,7 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 
@@ -29,6 +30,17 @@ namespace hirep::crypto {
 struct NodeId {
   std::array<std::uint8_t, Sha1::kDigestSize> bytes{};
 
+  /// Two u64 words and one u32: ids are compared on every agent lookup,
+  /// and a 20-byte memcmp call costs more than the three loads.
+  bool operator==(const NodeId& other) const noexcept {
+    std::uint64_t a[2] = {}, b[2] = {};
+    std::uint32_t c = 0, d = 0;
+    std::memcpy(a, bytes.data(), sizeof(a));
+    std::memcpy(b, other.bytes.data(), sizeof(b));
+    std::memcpy(&c, bytes.data() + sizeof(a), sizeof(c));
+    std::memcpy(&d, other.bytes.data() + sizeof(b), sizeof(d));
+    return ((a[0] ^ b[0]) | (a[1] ^ b[1]) | (c ^ d)) == 0;
+  }
   auto operator<=>(const NodeId&) const = default;
   std::string to_hex() const;
   /// Short prefix for logs ("a3f09c…").
@@ -36,9 +48,15 @@ struct NodeId {
 
   static NodeId of_key(const RsaPublicKey& signature_public_key);
 };
+static_assert(sizeof(NodeId) == 2 * sizeof(std::uint64_t) + sizeof(std::uint32_t));
 
 struct NodeIdHash {
-  std::size_t operator()(const NodeId& id) const noexcept;
+  std::size_t operator()(const NodeId& id) const noexcept {
+    // The id is already a cryptographic hash; fold the first 8 bytes.
+    std::uint64_t v = 0;
+    std::memcpy(&v, id.bytes.data(), sizeof(v));
+    return static_cast<std::size_t>(v);
+  }
 };
 
 /// A peer's complete cryptographic identity.

@@ -17,10 +17,12 @@ ReputationAgent::ReputationAgent(const crypto::Identity* identity,
 
 bool ReputationAgent::register_key(const crypto::NodeId& id,
                                    const crypto::RsaPublicKey& sp) {
+  const auto it = key_list_.find(id);
+  if (it != key_list_.end() && it->second == sp) return true;
   // Self-certifying check: the id must be the hash of the key.  This is
   // what forecloses man-in-the-middle key substitution (§3.3).
   if (crypto::node_id_of_cached(sp) != id) return false;
-  key_list_.emplace(id, sp);
+  key_list_.try_emplace(id, sp);
   return true;
 }
 
@@ -37,11 +39,12 @@ bool ReputationAgent::migrate_key(
       crypto::node_id_of_cached(announcement.new_signature_public);
   key_list_.erase(it);
   key_list_.emplace(new_id, announcement.new_signature_public);
-  // Accumulated evidence about the subject follows the identity.
-  const auto store_it = store_.find(old_id);
-  if (store_it != store_.end()) {
-    store_.emplace(new_id, std::move(store_it->second));
-    store_.erase(store_it);
+  // Accumulated evidence about the subject follows the identity.  The node
+  // moves as a handle, so no iterator has to survive a rehash; an entry
+  // already under new_id is kept and the moved one dropped.
+  if (auto node = store_.extract(old_id)) {
+    node.key() = new_id;
+    store_.insert(std::move(node));
   }
   return true;
 }

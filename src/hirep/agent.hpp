@@ -14,9 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "crypto/identity.hpp"
 #include "trust/ground_truth.hpp"
@@ -38,7 +38,9 @@ class ReputationAgent {
   net::NodeIndex ip() const noexcept { return self_; }
 
   /// Registers a requestor's signature key (derives and checks the nodeId
-  /// binding; a key whose hash mismatches the claimed id is rejected).
+  /// binding; a key whose hash mismatches the claimed id is rejected).  A
+  /// key equal to the one already listed under `id` was checked when it
+  /// was listed and is accepted without a second check.
   bool register_key(const crypto::NodeId& id, const crypto::RsaPublicKey& sp);
 
   /// §3.5 key rotation: verifies an old-key-signed announcement and maps
@@ -72,8 +74,12 @@ class ReputationAgent {
   trust::TrustModelFactory model_factory_;
   std::size_t min_reports_for_model_;
 
-  std::map<crypto::NodeId, crypto::RsaPublicKey> key_list_;
-  std::map<crypto::NodeId, std::unique_ptr<trust::TrustModel>> store_;
+  // Hashed: looked up on every trust query and report, never iterated.
+  std::unordered_map<crypto::NodeId, crypto::RsaPublicKey, crypto::NodeIdHash>
+      key_list_;
+  std::unordered_map<crypto::NodeId, std::unique_ptr<trust::TrustModel>,
+                     crypto::NodeIdHash>
+      store_;
 };
 
 }  // namespace hirep::core

@@ -49,24 +49,6 @@ constexpr std::uint64_t kMaintenanceSalt = 0xdecafbadf00dfeedULL;
 constexpr std::uint64_t kLaneSeedSalt = 0x1a5e5eedULL;
 constexpr std::uint64_t kChannelSeedSalt = 0xbadc0ffee0dba11ULL;
 
-using IdMap = std::vector<std::pair<crypto::NodeId, net::NodeIndex>>;
-
-IdMap::iterator id_lower_bound(IdMap& m, const crypto::NodeId& id) {
-  return std::lower_bound(
-      m.begin(), m.end(), id,
-      [](const IdMap::value_type& e, const crypto::NodeId& k) {
-        return e.first < k;
-      });
-}
-
-IdMap::const_iterator id_lower_bound(const IdMap& m, const crypto::NodeId& id) {
-  return std::lower_bound(
-      m.begin(), m.end(), id,
-      [](const IdMap::value_type& e, const crypto::NodeId& k) {
-        return e.first < k;
-      });
-}
-
 }  // namespace
 
 HirepSystem::HirepSystem(HirepOptions options)
@@ -87,13 +69,9 @@ HirepSystem::HirepSystem(HirepOptions options)
   id_to_ip_.reserve(options_.nodes);
   for (std::size_t v = 0; v < options_.nodes; ++v) {
     identities_.push_back(crypto::Identity::generate(rng_, options_.rsa_bits));
-    id_to_ip_.emplace_back(identities_.back().node_id(),
-                           static_cast<net::NodeIndex>(v));
+    id_to_ip_.insert_or_assign(identities_.back().node_id(),
+                               static_cast<net::NodeIndex>(v));
   }
-  std::sort(id_to_ip_.begin(), id_to_ip_.end(),
-            [](const IdMap::value_type& a, const IdMap::value_type& b) {
-              return a.first < b.first;
-            });
 
   // Peers, each with its verified onion relays.
   const ListParams lp = list_params_from(options_);
@@ -142,8 +120,8 @@ ReputationAgent* HirepSystem::agent_at(net::NodeIndex v) {
 }
 
 std::optional<net::NodeIndex> HirepSystem::ip_of(const crypto::NodeId& id) const {
-  const auto it = id_lower_bound(id_to_ip_, id);
-  if (it == id_to_ip_.end() || !(it->first == id)) return std::nullopt;
+  const auto it = id_to_ip_.find(id);
+  if (it == id_to_ip_.end()) return std::nullopt;
   return it->second;
 }
 
@@ -230,8 +208,8 @@ bool HirepSystem::admit_entry(Peer& p, AgentEntry entry, bool fresh_probe) {
 }
 
 HirepSystem::AgentRef HirepSystem::resolve_agent(const crypto::NodeId& id) {
-  const auto it = id_lower_bound(id_to_ip_, id);
-  if (it == id_to_ip_.end() || !(it->first == id)) return {};
+  const auto it = id_to_ip_.find(id);
+  if (it == id_to_ip_.end()) return {};
   AgentRef ref;
   ref.ip = it->second;  // set for any known id, agent or not
   if (ref.ip < agent_runtimes_.size() &&
@@ -462,8 +440,7 @@ net::NodeIndex HirepSystem::join_peer() {
   const auto truth_index = truth_.add_node(rng_);
   (void)truth_index;  // same index by construction
   identities_.push_back(crypto::Identity::generate(rng_, options_.rsa_bits));
-  id_to_ip_.insert(id_lower_bound(id_to_ip_, identities_.back().node_id()),
-                   {identities_.back().node_id(), v});
+  id_to_ip_.insert_or_assign(identities_.back().node_id(), v);
 
   // Peer state: verified relays, then trusted-agent discovery (§3.4.1).
   peers_.emplace_back(&identities_.back(), v, list_params_from(options_));
@@ -485,12 +462,8 @@ crypto::NodeId HirepSystem::rotate_peer_key(net::NodeIndex v) {
       identity.rotate_signature_key(rng_, options_.rsa_bits);
 
   // Simulation-side reverse mapping follows the identity.
-  {
-    const auto it = id_lower_bound(id_to_ip_, old_id);
-    if (it != id_to_ip_.end() && it->first == old_id) id_to_ip_.erase(it);
-  }
-  id_to_ip_.insert(id_lower_bound(id_to_ip_, identity.node_id()),
-                   {identity.node_id(), v});
+  id_to_ip_.erase(old_id);
+  id_to_ip_.insert_or_assign(identity.node_id(), v);
 
   // "New public keys signed by current private key can be sent out using
   // the most recently received onions" (§3.5): the announcement travels to

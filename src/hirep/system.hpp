@@ -28,6 +28,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -270,7 +271,7 @@ class HirepSystem {
   };
 
   /// A resolved agent: the runtime record plus its overlay index, from one
-  /// nodeId binary search (the old runtime_of + ip_of pair cost two).
+  /// nodeId lookup (the old runtime_of + ip_of pair cost two).
   struct AgentRef {
     AgentRuntime* rt = nullptr;  ///< null: unknown id or not an agent
     net::NodeIndex ip = net::kInvalidNode;  ///< set for any known id
@@ -415,9 +416,10 @@ class HirepSystem {
   std::vector<std::uint64_t> agent_sq_;    ///< next onion sequence number
   std::vector<std::uint8_t> agent_online_; ///< 1 = live agent (0 otherwise)
   std::size_t agent_count_ = 0;
-  /// Reverse nodeId -> index mapping as a sorted flat vector (binary
-  /// search); rebuilt incrementally on join/rotation.
-  std::vector<std::pair<crypto::NodeId, net::NodeIndex>> id_to_ip_;
+  /// Reverse nodeId -> index mapping; updated on join/rotation, never
+  /// iterated.
+  std::unordered_map<crypto::NodeId, net::NodeIndex, crypto::NodeIdHash>
+      id_to_ip_;
 
   // -- scale-engine state ---------------------------------------------------
   std::uint64_t txn_counter_ = 0;  ///< lifetime transactions batched so far

@@ -4,14 +4,6 @@
 
 namespace hirep::util {
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -30,52 +22,13 @@ Rng::Rng(std::uint64_t seed) noexcept {
            state_[3] == 0);
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-  // Lemire's method: multiply-shift with rejection for exact uniformity.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(below(span));
 }
 
-double Rng::uniform() noexcept {
-  // 53 random bits into the mantissa: uniform on [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform();
-}
-
-bool Rng::chance(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 double Rng::normal() noexcept {

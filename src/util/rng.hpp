@@ -34,6 +34,9 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
+  // The hot draws are defined inline below the class: the engines draw
+  // per node per tick, and a cross-TU call per draw costs more than the
+  // draw itself.
   result_type operator()() noexcept;
 
   /// Uniform integer in [0, bound) using Lemire's unbiased multiply-shift.
@@ -77,9 +80,52 @@ class Rng {
   Rng fork() noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
   bool have_spare_normal_ = false;
   double spare_normal_ = 0.0;
 };
+
+inline Rng::result_type Rng::operator()() noexcept {
+  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+  const std::uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = rotl(state_[3], 45);
+  return result;
+}
+
+inline std::uint64_t Rng::below(std::uint64_t bound) noexcept {
+  // Lemire's method: multiply-shift with rejection for exact uniformity.
+  std::uint64_t x = (*this)();
+  __uint128_t m = static_cast<__uint128_t>(x) * bound;
+  auto lo = static_cast<std::uint64_t>(m);
+  if (lo < bound) {
+    const std::uint64_t threshold = -bound % bound;
+    while (lo < threshold) {
+      x = (*this)();
+      m = static_cast<__uint128_t>(x) * bound;
+      lo = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
+
+inline double Rng::uniform() noexcept {
+  // 53 random bits into the mantissa: uniform on [0, 1).
+  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::chance(double p) noexcept {
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  return uniform() < p;
+}
 
 }  // namespace hirep::util

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace hirep::crypto {
 namespace {
 
@@ -33,6 +36,71 @@ TEST(NodeId, OfKeyBindsKey) {
   EXPECT_EQ(NodeId::of_key(a.signature_public()), a.node_id());
   // An attacker cannot claim a's nodeId with b's key.
   EXPECT_NE(NodeId::of_key(b.signature_public()), a.node_id());
+}
+
+// operator== compares machine words; it must agree with byte-wise
+// equality everywhere, including ids that differ only at a word's edge.
+TEST(NodeId, WordEqualityMatchesBytewise) {
+  const auto bytewise = [](const NodeId& a, const NodeId& b) {
+    return std::equal(a.bytes.begin(), a.bytes.end(), b.bytes.begin());
+  };
+  util::Rng rng(10);
+  const auto random_id = [&] {
+    NodeId id;
+    for (auto& b : id.bytes) b = static_cast<std::uint8_t>(rng.below(256));
+    return id;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const NodeId a = random_id();
+    // Half the pairs are equal, so both outcomes are exercised.
+    const NodeId b = (i % 2 == 0) ? a : random_id();
+    EXPECT_EQ(a == b, bytewise(a, b));
+    EXPECT_EQ(a != b, !bytewise(a, b));
+  }
+
+  NodeId zero, ones;
+  ones.bytes.fill(0xff);
+  for (const NodeId& base : {zero, ones, random_id()}) {
+    EXPECT_TRUE(base == base);
+    for (const std::size_t at : {0, 7, 8, 15, 16, 19}) {
+      for (const std::uint8_t flip : {0x01, 0x80, 0xff}) {
+        NodeId other = base;
+        other.bytes[at] ^= flip;
+        EXPECT_FALSE(base == other) << "byte " << at;
+        EXPECT_FALSE(other == base) << "byte " << at;
+        EXPECT_EQ(base == other, bytewise(base, other));
+      }
+    }
+  }
+  EXPECT_FALSE(zero == ones);
+}
+
+// Ordered users (discovery's candidate map) rely on <=> staying byte-wise
+// lexicographic.
+TEST(NodeId, OrderingIsLexicographic) {
+  util::Rng rng(11);
+  std::vector<NodeId> ids(16);
+  for (auto& id : ids) {
+    for (auto& b : id.bytes) b = static_cast<std::uint8_t>(rng.below(4));
+  }
+  // Variants of one id that first differ at every position, including the
+  // word boundaries, in both directions.
+  const NodeId base = ids[0];
+  for (std::size_t at = 0; at < base.bytes.size(); ++at) {
+    for (const std::uint8_t v : {0x00, 0x80, 0xff}) {
+      NodeId id = base;
+      id.bytes[at] = v;
+      ids.push_back(id);
+    }
+  }
+  for (const NodeId& a : ids) {
+    for (const NodeId& b : ids) {
+      const bool lex = std::lexicographical_compare(
+          a.bytes.begin(), a.bytes.end(), b.bytes.begin(), b.bytes.end());
+      EXPECT_EQ(a < b, lex);
+      EXPECT_EQ((a <=> b) == 0, a == b);
+    }
+  }
 }
 
 TEST(NodeIdHash, UsableInUnorderedContainers) {

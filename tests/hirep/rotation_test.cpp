@@ -2,6 +2,9 @@
 // standing under its new self-certified identifier.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "hirep/system.hpp"
 
 namespace hirep::core {
@@ -150,6 +153,91 @@ TEST(AgentMigration, UnknownOldIdRejected) {
   const auto old_id = peer.node_id();
   const auto ann = peer.rotate_signature_key(rng, 64);
   EXPECT_FALSE(agent.migrate_key(old_id, ann));  // was never registered
+}
+
+/// Synthetic subject ids for padding an agent's store.
+crypto::NodeId filler_id(std::size_t n) {
+  crypto::NodeId id;
+  id.bytes[0] = static_cast<std::uint8_t>(n);
+  id.bytes[1] = static_cast<std::uint8_t>(n >> 8);
+  return id;
+}
+
+/// Sizes at which one more emplace into a NodeId-keyed hash table
+/// rehashes: a probe table of the agent's own key type, grown the same way.
+std::vector<std::size_t> rehash_edges(std::size_t limit) {
+  std::unordered_map<crypto::NodeId, int, crypto::NodeIdHash> probe;
+  std::vector<std::size_t> edges;
+  for (std::size_t n = 0; n < limit; ++n) {
+    const std::size_t buckets = probe.bucket_count();
+    probe.emplace(filler_id(n), 0);
+    if (n > 0 && probe.bucket_count() != buckets) edges.push_back(n);
+  }
+  return edges;
+}
+
+TEST(AgentMigration, EvidenceFollowsAcrossRehash) {
+  util::Rng rng(3);
+  trust::WorldParams wp;
+  wp.nodes = 8;
+  wp.malicious_ratio = 0.0;
+  trust::GroundTruth truth(rng, wp);
+  auto agent_identity = crypto::Identity::generate(rng, 64);
+  const auto edges = rehash_edges(600);
+  ASSERT_GE(edges.size(), 3u);
+
+  for (const std::size_t size : edges) {
+    // The store holds `size` entries (size - 1 fillers plus the migrating
+    // subject), so adding the new id before the old one leaves rehashes.
+    ReputationAgent agent(&agent_identity, 0, &truth,
+                          trust::ewma_model_factory(), 1);
+    for (std::size_t n = 0; n + 1 < size; ++n) {
+      agent.accept_report(filler_id(n), 1.0);
+    }
+    auto subject = crypto::Identity::generate(rng, 64);
+    const auto old_id = subject.node_id();
+    ASSERT_TRUE(agent.register_key(old_id, subject.signature_public()));
+    for (int i = 0; i < 4; ++i) agent.accept_report(old_id, 0.0);
+
+    const auto ann = subject.rotate_signature_key(rng, 64);
+    const auto new_id = subject.node_id();
+    ASSERT_TRUE(agent.migrate_key(old_id, ann)) << size;
+    EXPECT_EQ(agent.report_count(new_id), 4u) << size;
+    EXPECT_EQ(agent.report_count(old_id), 0u) << size;
+    EXPECT_EQ(agent.lookup_key(new_id), ann.new_signature_public) << size;
+    EXPECT_FALSE(agent.lookup_key(old_id).has_value()) << size;
+    EXPECT_EQ(agent.key_list_size(), 1u) << size;
+    for (std::size_t n = 0; n + 1 < size; ++n) {
+      ASSERT_EQ(agent.report_count(filler_id(n)), 1u) << size << " " << n;
+    }
+  }
+}
+
+TEST(AgentMigration, OntoExistingIdKeepsThatEntry) {
+  util::Rng rng(4);
+  trust::WorldParams wp;
+  wp.nodes = 8;
+  wp.malicious_ratio = 0.0;
+  trust::GroundTruth truth(rng, wp);
+  auto agent_identity = crypto::Identity::generate(rng, 64);
+  ReputationAgent agent(&agent_identity, 0, &truth,
+                        trust::ewma_model_factory(), 1);
+
+  auto subject = crypto::Identity::generate(rng, 64);
+  const auto old_id = subject.node_id();
+  agent.register_key(old_id, subject.signature_public());
+  for (int i = 0; i < 5; ++i) agent.accept_report(old_id, 0.0);
+  const auto ann = subject.rotate_signature_key(rng, 64);
+  const auto new_id = subject.node_id();
+  // Evidence already filed under the new id (say, reports that reached
+  // the agent before the announcement) stays; the old entry is dropped.
+  for (int i = 0; i < 2; ++i) agent.accept_report(new_id, 1.0);
+
+  ASSERT_TRUE(agent.migrate_key(old_id, ann));
+  EXPECT_EQ(agent.report_count(new_id), 2u);
+  EXPECT_EQ(agent.report_count(old_id), 0u);
+  EXPECT_EQ(agent.lookup_key(new_id), ann.new_signature_public);
+  EXPECT_FALSE(agent.lookup_key(old_id).has_value());
 }
 
 }  // namespace

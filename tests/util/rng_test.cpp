@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace hirep::util {
 namespace {
@@ -11,6 +13,56 @@ namespace {
 TEST(Rng, SameSeedSameSequence) {
   Rng a(42), b(42);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a(), b());
+}
+
+// Known-answer test for the Xoshiro256** stream and the draws built on it.
+// SameSeedSameSequence only compares two instances with each other; these
+// pin the actual values, so a change to the generator, its seeding or any
+// draw helper (including moving it between translation units) shows here
+// before it shows as a drifted golden.
+TEST(Rng, KnownAnswerStream) {
+  constexpr std::uint64_t kSeed0[16] = {
+      0x99ec5f36cb75f2b4ULL, 0xbf6e1f784956452aULL, 0x1a5f849d4933e6e0ULL,
+      0x6aa594f1262d2d2cULL, 0xbba5ad4a1f842e59ULL, 0xffef8375d9ebcacaULL,
+      0x6c160deed2f54c98ULL, 0x8920ad648fc30a3fULL, 0xdb032c0ba7539731ULL,
+      0xeb3a475a3e749a3dULL, 0x1d42993fa43f2a54ULL, 0x11361bf526a14bb5ULL,
+      0x1b4f07a5ab3d8e9cULL, 0xa7a3257f6986db7fULL, 0x7efdaa95605dfc9cULL,
+      0x4bde97c0a78eaab8ULL};
+  constexpr std::uint64_t kSeed42[16] = {
+      0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL, 0xae17533239e499a1ULL,
+      0xecb8ad4703b360a1ULL, 0xfde6dc7fe2ec5e64ULL, 0xc50da53101795238ULL,
+      0xb82154855a65ddb2ULL, 0xd99a2743ebe60087ULL, 0xc2e96e726e97647eULL,
+      0x9556615f775fbc3dULL, 0xaeb53b340c103971ULL, 0x4a69db9873af8965ULL,
+      0xcd0feda93006c6b6ULL, 0x52480865a4b42742ULL, 0xb60dec3bf2d887cdULL,
+      0xe0b55a68b96677faULL};
+  Rng a(0), b(42);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(a(), kSeed0[i]) << "seed 0, draw " << i;
+    EXPECT_EQ(b(), kSeed42[i]) << "seed 42, draw " << i;
+  }
+}
+
+TEST(Rng, KnownAnswerDraws) {
+  constexpr double kUniform[8] = {
+      0x1.66b1f5ee9df2ep-1, 0x1.1d70f6593d20ap-2, 0x1.ade3a6932a58fp-1,
+      0x1.f65270e63d00ep-1, 0x1.fb5209d8fca8p-1,  0x1.bedc39c76c431p-1,
+      0x1.f1ae5852bd8bp-5,  0x1.abc4dcb546f6p-4};
+  Rng u(7);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(u.uniform(), kUniform[i]) << i;
+
+  const std::string kChance = "00000100000010000010110000100010";
+  Rng c(8);
+  std::string chances;
+  for (int i = 0; i < 32; ++i) chances += c.chance(0.3) ? '1' : '0';
+  EXPECT_EQ(chances, kChance);
+
+  const std::vector<std::uint64_t> kBelow = {2,   251, 132, 732, 920, 744,
+                                             682, 503, 149, 453, 752, 989,
+                                             171, 760, 932, 947};
+  Rng w(9);
+  std::vector<std::uint64_t> below;
+  for (int i = 0; i < 16; ++i) below.push_back(w.below(1000));
+  EXPECT_EQ(below, kBelow);
 }
 
 TEST(Rng, DifferentSeedsDiverge) {

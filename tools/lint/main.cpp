@@ -147,6 +147,10 @@ int main(int argc, char** argv) {
       u.path = p;
       u.rel = rel_to(rootp, p);
       u.lexed = lex_file(p);
+      const fs::path header = fs::path(p).replace_extension(".hpp");
+      if (fs::path(p).extension() == ".cpp" && fs::exists(header)) {
+        u.header = lex_file(header.string());
+      }
       if (explicit_files.empty()) {
         u.in_obs = u.rel.rfind("src/obs/", 0) == 0;
         // The deterministic simulation trees; util/crypto/obs/check run

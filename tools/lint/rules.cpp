@@ -246,15 +246,14 @@ bool in_list(std::string_view name, const std::string_view (&list)[N]) {
   return std::find(std::begin(list), std::end(list), name) != std::end(list);
 }
 
-/// Variable/field names in this file declared with an unordered container
-/// type, and names declared double/float (for the accumulation heuristic).
+/// Variable/field names declared with an unordered container type, and
+/// names declared double/float (for the accumulation heuristic).
 struct DeclNames {
   std::set<std::string, std::less<>> unordered;
   std::set<std::string, std::less<>> floating;
 };
 
-DeclNames collect_decl_names(const Tokens& toks) {
-  DeclNames out;
+void collect_decl_names(const Tokens& toks, DeclNames& out) {
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (is_ident(toks[i], "unordered_map") ||
         is_ident(toks[i], "unordered_set")) {
@@ -280,13 +279,14 @@ DeclNames collect_decl_names(const Tokens& toks) {
       out.floating.insert(std::string(toks[i + 1].text));
     }
   }
-  return out;
 }
 
 void rule_unordered_iteration(const FileUnit& f, std::vector<Finding>& out) {
   if (!f.sim_tree) return;
   const Tokens& toks = f.lexed.tokens;
-  const DeclNames decls = collect_decl_names(toks);
+  DeclNames decls;
+  collect_decl_names(toks, decls);
+  collect_decl_names(f.header.tokens, decls);
   if (decls.unordered.empty()) return;
 
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {

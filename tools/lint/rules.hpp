@@ -28,6 +28,9 @@ struct FileUnit {
   std::string path;  // filesystem path used for diagnostics
   std::string rel;   // path relative to --root, '/'-separated
   LexedFile lexed;
+  // The same-stem .hpp of a .cpp, when one exists (empty otherwise):
+  // unordered-iteration also resolves the member containers declared there.
+  LexedFile header;
   // Path policy, derived from `rel` (see classify_paths in main.cpp):
   bool in_obs = false;    // src/obs is exempt from no-wall-clock
   bool sim_tree = true;   // unordered-iteration / arena-span-escape scope
