@@ -1,11 +1,11 @@
-// Scale engine — serial vs parallel run_transactions() on identical
-// systems (DESIGN.md §9).  A fig5-shaped workload (whole-population random
-// pairs) is pre-drawn once, then executed twice from identical bootstrap
-// states: once serially, once through the conflict-free-prefix-wave
-// parallel engine.  Reported: wall-clock per mode, throughput, speedup —
-// and the record streams are compared element by element, because the
-// engine's contract is byte-identical results, not approximately-equal
-// ones.
+// Scale engine — serial vs sharded run_transactions() on identical
+// systems (DESIGN.md §9, §14).  A fig5-shaped workload (whole-population
+// random pairs) is pre-drawn once, then executed twice from identical
+// bootstrap states: once serially, once through the sharded engine with
+// one shard per worker thread.  Reported: wall-clock per mode,
+// throughput, speedup — and the record streams are compared element by
+// element, because the engine's contract is byte-identical results, not
+// approximately-equal ones.
 //
 //   ./build/bench/micro_scale network_size=10000 transactions=2000
 //       crypto=fast threads=0 json=out.json
@@ -72,7 +72,7 @@ bool identical(const core::HirepSystem::TransactionRecord& a,
 int main(int argc, char** argv) {
   return bench::run_exhibit(
       argc, argv,
-      "Scale engine — serial vs parallel transaction batches "
+      "Scale engine — serial vs sharded transaction batches "
       "(byte-identical records, wall-clock speedup)",
       [](sim::Scenario& sc, const util::Config& cfg) {
         if (!cfg.has("network_size")) sc.network_size(10'000);
@@ -88,30 +88,30 @@ int main(int argc, char** argv) {
 
         // Executors come from Scenario (the one construction path), so the
         // same downgrade/validation diagnostics apply as everywhere else.
-        // shards(0): a user-supplied shard knob is illegal (by design) on
-        // the non-sharded executors this exhibit compares.
+        // shards(0): the serial executor rejects a shard knob, and the
+        // sharded one then runs one shard per worker thread.
         const auto serial_exec = sim::Scenario(sc)
                                      .execution("serial")
                                      .shards(0)
                                      .validate()
                                      .execution_policy();
-        const auto parallel_exec = sim::Scenario(sc)
-                                       .execution("parallel")
-                                       .shards(0)
-                                       .threads(p.threads)
-                                       .validate()
-                                       .execution_policy();
+        const auto sharded_exec = sim::Scenario(sc)
+                                      .execution("sharded")
+                                      .shards(0)
+                                      .threads(p.threads)
+                                      .validate()
+                                      .execution_policy();
 
         const auto serial = run_mode(sc, pairs, serial_exec);
-        const auto parallel = run_mode(sc, pairs, parallel_exec);
+        const auto sharded = run_mode(sc, pairs, sharded_exec);
 
         std::size_t mismatches = 0;
         for (std::size_t i = 0; i < serial.records.size(); ++i) {
-          mismatches += !identical(serial.records[i], parallel.records[i]);
+          mismatches += !identical(serial.records[i], sharded.records[i]);
         }
         const double txns = static_cast<double>(p.transactions);
         const double speedup =
-            parallel.seconds > 0.0 ? serial.seconds / parallel.seconds : 0.0;
+            sharded.seconds > 0.0 ? serial.seconds / sharded.seconds : 0.0;
         const unsigned hw = std::thread::hardware_concurrency();
         const std::size_t workers =
             p.threads ? p.threads : (hw ? hw : 1);
@@ -119,15 +119,15 @@ int main(int argc, char** argv) {
         util::Table table({"mode", "threads", "seconds", "txns_per_sec"});
         table.add_row({std::string("serial"), static_cast<std::int64_t>(1),
                        serial.seconds, txns / serial.seconds});
-        table.add_row({std::string("parallel"),
-                       static_cast<std::int64_t>(workers), parallel.seconds,
-                       txns / parallel.seconds});
+        table.add_row({std::string("sharded"),
+                       static_cast<std::int64_t>(workers), sharded.seconds,
+                       txns / sharded.seconds});
         table.add_row({std::string("speedup"),
                        static_cast<std::int64_t>(workers), speedup, 0.0});
 
         sim::ExperimentResult result{std::move(table), {}};
         result.checks.push_back(
-            {"parallel records are byte-identical to serial",
+            {"sharded records are byte-identical to serial",
              mismatches == 0,
              std::to_string(mismatches) + " of " +
                  std::to_string(serial.records.size()) + " records differ"});
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
         // measurement and pass the claim vacuously there.
         const bool enough_cores = hw >= 4;
         result.checks.push_back(
-            {"parallel is >= 3x faster than serial (on >= 4 hardware "
+            {"sharded is >= 3x faster than serial (on >= 4 hardware "
              "threads)",
              !enough_cores || speedup >= 3.0,
              "speedup=" + std::to_string(speedup) + " hardware_threads=" +

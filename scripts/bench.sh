@@ -64,7 +64,7 @@ for suite in "${micro_suites[@]}"; do
     --benchmark_out_format=json
 done
 
-# Scale engine: serial vs parallel batch execution, both crypto modes;
+# Scale engine: serial vs sharded batch execution, both crypto modes;
 # chaos engine: fault schedule + failover recovery; batched transport:
 # per-envelope vs arena-backed send_batch; sharded engine: thread sweep
 # over a shard partition, plus the fig5-at-1M exhibit — a million-agent

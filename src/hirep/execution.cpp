@@ -14,14 +14,11 @@ namespace {
 // to catch the mistake at config time instead of inside the thread pool.
 constexpr std::size_t kMaxThreads = 4096;
 constexpr std::size_t kMaxShards = 4096;
-// A wave window is a batch-size cap; anything beyond this is a wrap.
-constexpr std::size_t kMaxWaveWindow = 1'000'000'000;
 
 }  // namespace
 
 std::optional<ExecutionMode> execution_mode_by_name(std::string_view name) {
   if (name == "serial") return ExecutionMode::kSerial;
-  if (name == "parallel") return ExecutionMode::kParallel;
   if (name == "sharded") return ExecutionMode::kSharded;
   return std::nullopt;
 }
@@ -30,8 +27,6 @@ const char* to_string(ExecutionMode mode) noexcept {
   switch (mode) {
     case ExecutionMode::kSerial:
       return "serial";
-    case ExecutionMode::kParallel:
-      return "parallel";
     case ExecutionMode::kSharded:
       return "sharded";
   }
@@ -46,10 +41,6 @@ Executor Executor::validate(const Environment& env) const {
   if (shards > kMaxShards) {
     throw std::invalid_argument(
         "Executor: shards must be <= 4096 (negative values wrap)");
-  }
-  if (wave_window > kMaxWaveWindow) {
-    throw std::invalid_argument(
-        "Executor: wave_window must be <= 1e9 (negative values wrap)");
   }
   if (shards != 0 && mode != ExecutionMode::kSharded) {
     throw std::invalid_argument(

@@ -702,77 +702,37 @@ void HirepSystem::send_report(TxnCtx& ctx, Peer& reporter, AgentEntry& entry,
                               double outcome) {
   const AgentRef ref = resolve_agent(entry.agent_id);
   if (!ref || !agent_online_[ref.ip]) return;
-  AgentRuntime* rt = ref.rt;
-
-  if (options_.crypto == CryptoMode::kFast) {
-    const auto routed = ctx.channel->request(net::EnvelopeType::kReport,
-                                             reporter.ip(), entry.relay_path);
-    ctx.trust_messages += routed.messages;
-    // A report needs no acknowledgement: even a copy that arrived past the
-    // reporter's deadline is applied (at most once) at the agent.
-    if (!routed.applied) return;  // report lost: agent never learns of it
-    if (defer_cross_shard(ctx, ref.ip)) {
-      // Wire delivery and accounting happened on this shard's lane; the
-      // state application crosses a shard boundary and waits for the
-      // barrier (DESIGN.md §14).
-      if constexpr (obs::kEnabled) {
-        static obs::Counter& deferred = obs::Registry::global().counter(
-            "hirep.engine.cross_shard_reports");
-        deferred.add();
-      }
-      ctx.report_outbox->push_back(
-          {ctx.txn_index, ref.ip, subject_id, outcome, {}});
-      return;
-    }
-    util::MutexLock lock(*rt->mu);
-    rt->agent->accept_report(subject_id, outcome);
-    return;
-  }
-
   const TransactionReport report =
       build_report(reporter.identity(), subject_id, outcome, (*ctx.rng)());
-  const auto routed = route_envelope(ctx, reporter.ip(), entry.onion,
-                                     report.serialize(),
-                                     net::EnvelopeType::kReport);
+  auto routed = route_envelope(ctx, reporter.ip(), entry.onion,
+                               report.serialize(), net::EnvelopeType::kReport);
   if (!routed.delivered) return;
   if (defer_cross_shard(ctx, ref.ip)) {
-    // The delivered envelope payload is replayed verbatim at the barrier:
-    // deserialize / lookup_key / verify / accept all run there.
-    if constexpr (obs::kEnabled) {
-      static obs::Counter& deferred = obs::Registry::global().counter(
-          "hirep.engine.cross_shard_reports");
-      deferred.add();
-    }
-    ctx.report_outbox->push_back(
-        {ctx.txn_index, ref.ip, subject_id, outcome, routed.payload});
+    // The delivered envelope payload is replayed verbatim at the barrier.
+    queue_cross_shard(ctx, {ctx.txn_index, ref.ip, subject_id, outcome,
+                            std::move(routed.payload)});
     return;
   }
-  const auto parsed = TransactionReport::deserialize(routed.payload);
+  receive_report(*ref.rt, routed.payload);
+}
+
+void HirepSystem::queue_cross_shard(TxnCtx& ctx, DeferredReport dr) {
+  // Wire delivery and accounting happened on this shard's lane; the state
+  // application crosses a shard boundary and waits for the barrier
+  // (DESIGN.md §14).
+  if constexpr (obs::kEnabled) {
+    static obs::Counter& deferred =
+        obs::Registry::global().counter("hirep.engine.cross_shard_reports");
+    deferred.add();
+  }
+  ctx.report_outbox->push_back(std::move(dr));
+}
+
+void HirepSystem::receive_report(AgentRuntime& rt, const util::Bytes& wire) {
+  const auto parsed = TransactionReport::deserialize(wire);
   if (!parsed) return;
   // lookup_key returns the key by value, so the signature check (the
   // expensive part) runs outside the agent lock.
-  std::optional<crypto::RsaPublicKey> sp;
-  {
-    util::MutexLock lock(*rt->mu);
-    sp = rt->agent->lookup_key(parsed->reporter);
-  }
-  if (!sp) return;  // unknown reporter: §3.5.3 drop
-  const auto opened = verify_report(*sp, *parsed);
-  if (!opened) return;  // bad signature: drop
-  util::MutexLock lock(*rt->mu);
-  rt->agent->accept_report(opened->subject, opened->outcome);
-}
-
-void HirepSystem::apply_deferred_report(const DeferredReport& dr) {
-  AgentRuntime& rt = agent_runtimes_[dr.agent_ip];
-  if (dr.wire.empty()) {  // fast crypto: apply subject + outcome directly
-    util::MutexLock lock(*rt.mu);
-    rt.agent->accept_report(dr.subject, dr.outcome);
-    return;
-  }
-  // Full crypto: the receiving agent's §3.5.3 path, same drops as inline.
-  const auto parsed = TransactionReport::deserialize(dr.wire);
-  if (!parsed) return;
   std::optional<crypto::RsaPublicKey> sp;
   {
     util::MutexLock lock(*rt.mu);
@@ -783,6 +743,16 @@ void HirepSystem::apply_deferred_report(const DeferredReport& dr) {
   if (!opened) return;  // bad signature: drop
   util::MutexLock lock(*rt.mu);
   rt.agent->accept_report(opened->subject, opened->outcome);
+}
+
+void HirepSystem::apply_deferred_report(const DeferredReport& dr) {
+  AgentRuntime& rt = agent_runtimes_[dr.agent_ip];
+  if (dr.wire.empty()) {  // fast crypto: apply subject + outcome directly
+    util::MutexLock lock(*rt.mu);
+    rt.agent->accept_report(dr.subject, dr.outcome);
+    return;
+  }
+  receive_report(rt, dr.wire);  // full crypto: same drops as inline
 }
 
 void HirepSystem::report_batch(TxnCtx& ctx, Peer& reporter,
@@ -807,13 +777,8 @@ void HirepSystem::report_batch(TxnCtx& ctx, Peer& reporter,
     ctx.trust_messages += routed[i].messages;
     if (!routed[i].applied) continue;  // report lost: agent never learns
     if (defer_cross_shard(ctx, targets[i].ip)) {
-      if constexpr (obs::kEnabled) {
-        static obs::Counter& deferred = obs::Registry::global().counter(
-            "hirep.engine.cross_shard_reports");
-        deferred.add();
-      }
-      ctx.report_outbox->push_back(
-          {ctx.txn_index, targets[i].ip, subject_id, outcome, {}});
+      queue_cross_shard(ctx,
+                        {ctx.txn_index, targets[i].ip, subject_id, outcome, {}});
       continue;
     }
     util::MutexLock lock(*targets[i].rt->mu);
@@ -942,8 +907,8 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
       std::string_view(transport_.policy().name()) == "instant";
   if (exec.concurrent() && !instant) {
     throw std::invalid_argument(
-        "run_transactions: parallel/sharded execution requires instant "
-        "delivery (lossy/delayed/chaotic transports are order-dependent)");
+        "run_transactions: sharded execution requires instant delivery "
+        "(lossy/delayed/chaotic transports are order-dependent)");
   }
   if (exec.shards != 0 && exec.mode != ExecutionMode::kSharded) {
     throw std::invalid_argument(
@@ -961,20 +926,16 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
   }
 
   const bool sharded = exec.mode == ExecutionMode::kSharded;
-  std::size_t lane_count = 1;
   std::size_t shard_count = 1;
-  if (exec.concurrent()) {
+  if (sharded) {
     if (!pool_ || (exec.threads != 0 && pool_->size() != exec.threads)) {
       pool_ = std::make_unique<util::ThreadPool>(exec.threads);
     }
-    // Sharded: one lane per shard, keyed by shard id, stable across waves.
-    // Parallel: one lane per worker, keyed by chunk index.  Lane transports
-    // draw nothing under instant delivery, so lane count/assignment cannot
-    // perturb a single byte.
-    lane_count = sharded ? (exec.shards != 0 ? exec.shards : pool_->size())
-                         : pool_->size();
-    if (sharded) shard_count = lane_count;
-    while (lanes_.size() < lane_count) {
+    // One lane per shard, keyed by shard id, stable across waves.  Lane
+    // transports draw nothing under instant delivery, so the shard count
+    // cannot perturb a single byte.
+    shard_count = exec.shards != 0 ? exec.shards : pool_->size();
+    while (lanes_.size() < shard_count) {
       lanes_.push_back(std::make_unique<net::Transport>(
           &overlay_, options_.delivery,
           options_.seed ^ (kLaneSeedSalt + lanes_.size())));
@@ -999,22 +960,18 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
 
   while (next < pairs.size()) {
     // Wave formation: the maximal conflict-free PREFIX of the remaining
-    // transactions, capped at exec.wave_window members.  A transaction
-    // joins until one shows up whose requestor or provider node is already
-    // claimed — those are the only peers a transaction mutates, so wave
-    // members touch disjoint peer state (agents are shared but internally
-    // locked; their transitions commute per subject, DESIGN §9).  The
-    // prefix rule — rather than skipping ahead past conflicts — keeps
-    // execution equivalent to strict index-order serial execution, so
-    // splitting a batch at any boundary yields byte-identical records
-    // (checkpointed experiments compose).  NOTE: the window cap moves wave
-    // BARRIERS (hence refill timing), so byte-identity across engines
-    // holds for equal wave_window values.
+    // transactions.  A transaction joins until one shows up whose
+    // requestor or provider node is already claimed — those are the only
+    // peers a transaction mutates, so wave members touch disjoint peer
+    // state (agents are shared but internally locked; their transitions
+    // commute per subject, DESIGN §9).  The prefix rule — rather than
+    // skipping ahead past conflicts — keeps execution equivalent to strict
+    // index-order serial execution, so splitting a batch at any boundary
+    // yields byte-identical records (checkpointed experiments compose).
     wave.clear();
     std::fill(busy.begin(), busy.end(), std::uint8_t{0});
     std::size_t stop = next;
     for (; stop < pairs.size(); ++stop) {
-      if (exec.wave_window != 0 && wave.size() >= exec.wave_window) break;
       const auto [r, p] = pairs[stop];
       if (busy[r] || busy[p]) break;
       busy[r] = busy[p] = 1;
@@ -1124,27 +1081,8 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
       for (std::size_t s = 0; s < shard_count; ++s) {
         lanes_[s]->sim().advance_to(latest);
       }
-    } else if (!sharded && exec.concurrent() && lane_count > 1 &&
-               wave.size() > 1) {
-      const std::size_t lanes_used = std::min(lane_count, wave.size());
-      const std::size_t per = (wave.size() + lanes_used - 1) / lanes_used;
-      pool_->parallel_for(lanes_used, [&](std::size_t lane) {
-        const std::size_t begin = lane * per;
-        const std::size_t end = std::min(wave.size(), begin + per);
-        for (std::size_t j = begin; j < end; ++j) {
-          run_one(j, *lanes_[lane], *lane_channels_[lane], 0, nullptr);
-        }
-      });
-      // Barrier: fold lane envelope counters back into the primary
-      // transport so its totals match a serial run, and release each
-      // lane's payload arena — batches never outlive a wave, so lane
-      // memory stays flat across the run.
-      for (std::size_t lane = 0; lane < lanes_used; ++lane) {
-        transport_.absorb_envelopes(*lanes_[lane]);
-        lanes_[lane]->arena().reset();
-      }
     } else {
-      // Serial reference (also a single-transaction wave under any mode:
+      // Serial reference (also a single-transaction sharded wave:
       // with one transaction there is nothing to exchange, so the
       // home-shard context is irrelevant and inline application matches
       // the barrier replay byte for byte).

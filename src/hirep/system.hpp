@@ -15,10 +15,11 @@
 // identical messages but skips the cipher work (large parameter sweeps).
 //
 // Scale engine: run_transactions() executes a pre-drawn batch of
-// requestor/provider pairs in conflict-free waves on a thread pool.  Every
-// transaction owns a deterministic RNG stream derived from (seed, index),
-// so serial and parallel execution produce byte-identical records; see
-// DESIGN.md §9 for the batching rule and the determinism argument.
+// requestor/provider pairs in conflict-free waves, serially or split into
+// shards on a thread pool.  Every transaction owns a deterministic RNG
+// stream derived from (seed, index), so serial and sharded execution
+// produce byte-identical records; see DESIGN.md §9 for the batching rule
+// and the determinism argument, §14 for the shard barrier.
 #pragma once
 
 #include <atomic>
@@ -215,14 +216,13 @@ class HirepSystem {
   ///
   /// Each transaction draws from its own RNG stream derived from
   /// (options.seed, lifetime transaction index), never from rng(), so the
-  /// result is a pure function of the transaction sequence: serial,
-  /// parallel, and sharded execution return byte-identical records, and
-  /// splitting a sequence into consecutive batches (checkpointed
-  /// experiments) yields the same records as one big batch.  Execution
-  /// proceeds in conflict-free prefix waves — transactions run
-  /// concurrently while their requestor/provider nodes are all distinct,
-  /// capped at exec.wave_window per wave — and §3.4.3 refills are deferred
-  /// to each wave's barrier, serial in transaction order.
+  /// result is a pure function of the transaction sequence: serial and
+  /// sharded execution return byte-identical records, and splitting a
+  /// sequence into consecutive batches (checkpointed experiments) yields
+  /// the same records as one big batch.  Execution proceeds in
+  /// conflict-free prefix waves — a wave grows while its transactions'
+  /// requestor/provider nodes are all distinct — and §3.4.3 refills are
+  /// deferred to each wave's barrier, serial in transaction order.
   ///
   /// Under ExecutionMode::kSharded, agents are partitioned into
   /// exec.shards shards by node index; each wave splits by the requestor's
@@ -364,6 +364,8 @@ class HirepSystem {
                                             net::NodeIndex subject_ip,
                                             const crypto::NodeId& subject_id);
 
+  /// Full-crypto §3.6 report to one trusted agent: a signed envelope
+  /// routed over the agent's onion.  (Fast crypto sends report_batch.)
   void send_report(TxnCtx& ctx, Peer& reporter, AgentEntry& entry,
                    const crypto::NodeId& subject_id, double outcome);
 
@@ -373,9 +375,17 @@ class HirepSystem {
     return ctx.report_outbox != nullptr &&
            agent_ip % ctx.shard_count != ctx.home_shard;
   }
+  /// Queues a delivered cross-shard report into ctx's outbox for the
+  /// barrier and counts it under hirep.engine.cross_shard_reports.
+  void queue_cross_shard(TxnCtx& ctx, DeferredReport dr);
+  /// The receiving agent's §3.5.3 path for one full-crypto report
+  /// envelope: deserialize, lookup_key under the agent mutex, verify
+  /// outside it, accept under it.  Malformed, unknown-reporter and
+  /// bad-signature reports are dropped.
+  void receive_report(AgentRuntime& rt, const util::Bytes& wire);
   /// Replays one cross-shard report at the wave barrier: fast-crypto
   /// reports apply subject+outcome under the agent mutex; full-crypto
-  /// reports run the receiving agent's lookup_key / verify / accept path.
+  /// reports go through receive_report.
   void apply_deferred_report(const DeferredReport& dr);
 
   /// Fast-crypto §3.6 fan-out: all of one transaction's reports in one
@@ -427,7 +437,7 @@ class HirepSystem {
   /// not perturb any transaction's stream); created on first batch.
   std::optional<util::Rng> maintenance_rng_;
   std::unique_ptr<util::ThreadPool> pool_;  ///< lazily created, persistent
-  /// One transport lane per worker, all over the shared overlay; envelope
+  /// One transport lane per shard, all over the shared overlay; envelope
   /// counters fold back into transport_ at each wave barrier.
   std::vector<std::unique_ptr<net::Transport>> lanes_;
   /// One retry channel per lane (jitter streams stay per-lane).

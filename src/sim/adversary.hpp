@@ -13,8 +13,8 @@
 // action is a *state* mutation (GroundTruth behavior modes, §3.5 key
 // rotation, open-membership joins) applied inside advance_to() at a tick
 // boundary between run_transactions() batches.  That is what makes
-// adversarial runs byte-identical across the serial, parallel, and
-// sharded executors — no delivery-order dependence is ever introduced,
+// adversarial runs byte-identical across the serial and sharded
+// executors — no delivery-order dependence is ever introduced,
 // so Scenario::execution_policy() performs no downgrade for adversary=on.
 //
 // Strategies (each armed by its count knob, composable, tick-scheduled):

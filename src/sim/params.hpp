@@ -62,12 +62,11 @@ struct Params {
   /// transaction counts.  0 = whole population.
   std::size_t requestor_pool = 50;
   std::size_t provider_pool = 100;
-  /// Scale engine: how run_transactions() executes a batch ("parallel" |
-  /// "serial" | "sharded"; results are byte-identical, see sim::Scenario).
-  std::string execution = "parallel";
+  /// Scale engine: how run_transactions() executes a batch ("serial" |
+  /// "sharded"; results are byte-identical, see sim::Scenario).
+  std::string execution = "serial";
   std::size_t threads = 0;  ///< worker threads, 0 = hardware concurrency
   std::size_t shards = 0;   ///< sharded engine partitions, 0 = thread count
-  std::size_t wave_window = 0;  ///< max transactions per wave, 0 = unbounded
 
   // ---- reliable request channel (src/net/reliable.hpp) ----------------
   // Defaults are the golden-safe zero-retry configuration: one attempt, no

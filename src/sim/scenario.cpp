@@ -116,14 +116,12 @@ const std::vector<OptionSpec>& Scenario::option_table() {
        "active provider community size (0 = whole population)"},
       // ---- scale engine --------------------------------------------------
       {"execution", &Params::execution,
-       "transaction engine: parallel|serial|sharded (concurrent engines "
-       "need delivery=instant; byte-identical results either way)"},
+       "transaction engine: serial|sharded (sharded needs "
+       "delivery=instant; byte-identical results either way)"},
       {"threads", &Params::threads,
-       "worker threads for execution=parallel|sharded (0 = hardware)"},
+       "worker threads for execution=sharded (0 = hardware)"},
       {"shards", &Params::shards,
        "agent partitions for execution=sharded (0 = thread count)"},
-      {"wave_window", &Params::wave_window,
-       "max transactions per engine wave (0 = unbounded)"},
       // ---- reliable request channel --------------------------------------
       {"retry_max_attempts", &Params::retry_max_attempts,
        "attempts per reliable request (1 = fire once, no retry)"},
@@ -236,13 +234,11 @@ const Scenario& Scenario::validate() const {
   require(net::policy_kind_by_name(p.delivery).has_value(),
           "delivery must be instant|latency|faulty");
   require(core::execution_mode_by_name(p.execution).has_value(),
-          "execution must be parallel|serial|sharded");
-  // threads/shards/wave_window parse through int64, so a negative CLI
-  // value would wrap to a huge uint64 — bound them above to catch that.
+          "execution must be serial|sharded");
+  // threads/shards parse through int64, so a negative CLI value would
+  // wrap to a huge uint64 — bound them above to catch that.
   require(p.threads <= 4096, "threads must be <= 4096 (negative values wrap)");
   require(p.shards <= 4096, "shards must be <= 4096 (negative values wrap)");
-  require(p.wave_window <= 1000000000,
-          "wave_window must be <= 1e9 (negative values wrap)");
   require(p.shards == 0 || p.execution == "sharded",
           "shards requires execution=sharded");
   require(p.drop_rate >= 0.0 && p.drop_rate <= 1.0 &&
@@ -347,7 +343,6 @@ core::Executor Scenario::execution_policy() const {
   exec.mode = *core::execution_mode_by_name(params_.execution);
   exec.threads = params_.threads;
   exec.shards = params_.shards;
-  exec.wave_window = params_.wave_window;
   // Environment-driven downgrades (chaos schedules faults against the
   // global transaction tick; lossy/delayed transports are order-dependent)
   // live in Executor::validate, with a logged diagnostic.
@@ -357,7 +352,7 @@ core::Executor Scenario::execution_policy() const {
   // The adversary engine deliberately does NOT downgrade the executor:
   // unlike chaos it never touches the wire — every campaign action is a
   // state mutation applied at a tick boundary between batches — so
-  // adversarial runs stay byte-identical across serial|parallel|sharded.
+  // adversarial runs stay byte-identical across serial|sharded.
   return exec.validate(env);
 }
 

@@ -8,7 +8,7 @@
 //   auto sc = sim::Scenario()
 //                 .network_size(10'000)
 //                 .crypto("fast")
-//                 .execution("parallel")
+//                 .execution("sharded")
 //                 .validate();
 //   core::HirepSystem system(sc.hirep_options());
 //   auto records = system.run_transactions(pairs, sc.execution_policy());
@@ -78,7 +78,6 @@ class Scenario {
   Scenario& execution(std::string mode) { params_.execution = std::move(mode); return *this; }
   Scenario& threads(std::size_t n) { params_.threads = n; return *this; }
   Scenario& shards(std::size_t n) { params_.shards = n; return *this; }
-  Scenario& wave_window(std::size_t n) { params_.wave_window = n; return *this; }
   Scenario& trusted_agents(std::size_t c) { params_.trusted_agents = c; return *this; }
   Scenario& malicious_ratio(double r) { params_.malicious_ratio = r; return *this; }
 
@@ -96,8 +95,8 @@ class Scenario {
   net::DeliveryConfig delivery_config() const {
     return params_.delivery_config();
   }
-  /// The scale engine's Executor, fully validated: execution=parallel or
-  /// =sharded applies under delivery=instant with chaos=off; lossy/delayed
+  /// The scale engine's Executor, fully validated: execution=sharded
+  /// applies under delivery=instant with chaos=off; lossy/delayed
   /// transports and chaos fault schedules are order-dependent, so either
   /// downgrades to serial execution with a logged diagnostic (same
   /// results, one thread).  This is the ONLY construction path bench mains

@@ -14,33 +14,29 @@ TEST(Executor, NamedConstructorsSetTheObviousFields) {
   EXPECT_EQ(Executor::serial().mode, ExecutionMode::kSerial);
   EXPECT_FALSE(Executor::serial().concurrent());
 
-  const Executor par = Executor::parallel(6);
-  EXPECT_EQ(par.mode, ExecutionMode::kParallel);
-  EXPECT_EQ(par.threads, 6u);
-  EXPECT_TRUE(par.concurrent());
-
   const Executor sh = Executor::sharded(4, 2);
   EXPECT_EQ(sh.mode, ExecutionMode::kSharded);
   EXPECT_EQ(sh.shards, 4u);
   EXPECT_EQ(sh.threads, 2u);
   EXPECT_TRUE(sh.concurrent());
 
-  // The default matches the old ExecutionPolicy default: parallel, 0 =
-  // hardware threads.
-  EXPECT_EQ(Executor{}.mode, ExecutionMode::kParallel);
+  // The default is the serial reference engine, 0 = hardware threads.
+  EXPECT_EQ(Executor{}.mode, ExecutionMode::kSerial);
   EXPECT_EQ(Executor{}.threads, 0u);
+  EXPECT_EQ(Executor{}.shards, 0u);
 }
 
 TEST(Executor, ModeNamesRoundTrip) {
-  for (ExecutionMode mode : {ExecutionMode::kSerial, ExecutionMode::kParallel,
-                             ExecutionMode::kSharded}) {
+  for (ExecutionMode mode : {ExecutionMode::kSerial, ExecutionMode::kSharded}) {
     const auto back = execution_mode_by_name(to_string(mode));
     ASSERT_TRUE(back.has_value()) << to_string(mode);
     EXPECT_EQ(*back, mode);
   }
   EXPECT_FALSE(execution_mode_by_name("bogus").has_value());
   EXPECT_FALSE(execution_mode_by_name("").has_value());
-  EXPECT_FALSE(execution_mode_by_name("Parallel").has_value());  // exact match
+  EXPECT_FALSE(execution_mode_by_name("Sharded").has_value());  // exact match
+  // "parallel" names no engine and is not an alias for one.
+  EXPECT_FALSE(execution_mode_by_name("parallel").has_value());
 }
 
 TEST(ExecutorValidate, PassesThroughUnderInstantDelivery) {
@@ -49,8 +45,8 @@ TEST(ExecutorValidate, PassesThroughUnderInstantDelivery) {
   EXPECT_EQ(resolved.mode, ExecutionMode::kSharded);
   EXPECT_EQ(resolved.shards, 4u);
   EXPECT_EQ(resolved.threads, 2u);
-  EXPECT_EQ(Executor::parallel().validate(instant).mode,
-            ExecutionMode::kParallel);
+  EXPECT_EQ(Executor::sharded(0).validate(instant).mode,
+            ExecutionMode::kSharded);
   EXPECT_EQ(Executor::serial().validate(instant).mode, ExecutionMode::kSerial);
 }
 
@@ -62,7 +58,7 @@ TEST(ExecutorValidate, DowngradesConcurrentEnginesToSerial) {
 
   for (const auto& env : {lossy, chaotic}) {
     for (const Executor exec :
-         {Executor::parallel(4), Executor::sharded(4, 2)}) {
+         {Executor::sharded(0, 4), Executor::sharded(4, 2)}) {
       const Executor resolved = exec.validate(env);
       EXPECT_EQ(resolved.mode, ExecutionMode::kSerial);
       EXPECT_EQ(resolved.shards, 0u);  // shard knob cleared with the mode
@@ -74,20 +70,17 @@ TEST(ExecutorValidate, DowngradesConcurrentEnginesToSerial) {
 
 TEST(ExecutorValidate, RejectsWrappedNegativesAndMisplacedShardKnob) {
   const Executor::Environment env;
-  EXPECT_THROW(Executor::parallel(5000).validate(env), std::invalid_argument);
+  EXPECT_THROW(Executor::sharded(0, 5000).validate(env), std::invalid_argument);
   EXPECT_THROW(Executor::sharded(5000).validate(env), std::invalid_argument);
-  Executor window = Executor::parallel();
-  window.wave_window = 2'000'000'000;
-  EXPECT_THROW(window.validate(env), std::invalid_argument);
 
-  // shards on a non-sharded engine is a configuration error, not a silent
+  // shards on the serial engine is a configuration error, not a silent
   // ignore.
-  Executor misplaced = Executor::parallel();
+  Executor misplaced = Executor::serial();
   misplaced.shards = 4;
   EXPECT_THROW(misplaced.validate(env), std::invalid_argument);
 
   // Boundary values stay legal.
-  EXPECT_NO_THROW(Executor::parallel(4096).validate(env));
+  EXPECT_NO_THROW(Executor::sharded(0, 4096).validate(env));
   EXPECT_NO_THROW(Executor::sharded(4096).validate(env));
 }
 

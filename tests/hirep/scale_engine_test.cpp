@@ -1,6 +1,7 @@
-// Property tests for the batched transaction engine: parallel execution
-// must be byte-identical to serial execution (DESIGN.md §9), batches must
-// compose, and invalid inputs must be rejected up front.
+// Property tests for the batched transaction engine: concurrent (sharded)
+// execution must be byte-identical to serial execution (DESIGN.md §9,
+// §14), batches must compose, and invalid inputs must be rejected up
+// front.
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
@@ -71,14 +72,14 @@ TEST(ScaleEngine, ParallelMatchesSerialFastCrypto) {
       const auto pairs = draw_pairs(seed, opts.nodes, 80);
 
       HirepSystem serial(opts);
-      HirepSystem parallel(opts);
+      HirepSystem sharded(opts);
       const auto serial_records =
           serial.run_transactions(pairs, Executor::serial());
-      const auto parallel_records = parallel.run_transactions(
-          pairs, Executor::parallel(threads));
+      const auto sharded_records = sharded.run_transactions(
+          pairs, Executor::sharded(threads, threads));
 
-      expect_records_identical(serial_records, parallel_records);
-      EXPECT_EQ(serial.trust_message_total(), parallel.trust_message_total());
+      expect_records_identical(serial_records, sharded_records);
+      EXPECT_EQ(serial.trust_message_total(), sharded.trust_message_total());
     }
   }
 }
@@ -94,14 +95,14 @@ TEST(ScaleEngine, ParallelMatchesSerialFullCrypto) {
   const auto pairs = draw_pairs(3, opts.nodes, 8);
 
   HirepSystem serial(opts);
-  HirepSystem parallel(opts);
+  HirepSystem sharded(opts);
   const auto serial_records =
       serial.run_transactions(pairs, Executor::serial());
-  const auto parallel_records =
-      parallel.run_transactions(pairs, Executor::parallel(4));
+  const auto sharded_records =
+      sharded.run_transactions(pairs, Executor::sharded(4, 4));
 
-  expect_records_identical(serial_records, parallel_records);
-  EXPECT_EQ(serial.trust_message_total(), parallel.trust_message_total());
+  expect_records_identical(serial_records, sharded_records);
+  EXPECT_EQ(serial.trust_message_total(), sharded.trust_message_total());
 }
 
 TEST(ScaleEngine, ChunkedBatchesMatchOneBatch) {
@@ -110,13 +111,14 @@ TEST(ScaleEngine, ChunkedBatchesMatchOneBatch) {
 
   HirepSystem whole(opts);
   HirepSystem chunked(opts);
-  const auto whole_records = whole.run_transactions(pairs, Executor::parallel(4));
+  const auto whole_records =
+      whole.run_transactions(pairs, Executor::sharded(4, 4));
 
   std::vector<Record> chunk_records;
   for (std::size_t at = 0; at < pairs.size(); at += 25) {
     const std::size_t n = std::min<std::size_t>(25, pairs.size() - at);
     const auto part = chunked.run_transactions(
-        std::span(pairs).subspan(at, n), Executor::parallel(4));
+        std::span(pairs).subspan(at, n), Executor::sharded(4, 4));
     chunk_records.insert(chunk_records.end(), part.begin(), part.end());
   }
 
@@ -129,15 +131,16 @@ TEST(ScaleEngine, ChunkedBatchesMatchOneBatch) {
 
 TEST(ScaleEngine, SharedAgentsAcrossDistinctPairsStayConsistent) {
   // Tiny network: every peer trusts mostly the same agents, so waves
-  // exercise the shared-agent locking path heavily.
+  // exercise the shared-agent locking path (and the cross-shard report
+  // exchange) heavily.
   const auto opts = fast_options(5, 32);
   const auto pairs = draw_pairs(5, opts.nodes, 64);
 
   HirepSystem serial(opts);
-  HirepSystem parallel(opts);
+  HirepSystem sharded(opts);
   expect_records_identical(
       serial.run_transactions(pairs, Executor::serial()),
-      parallel.run_transactions(pairs, Executor::parallel(4)));
+      sharded.run_transactions(pairs, Executor::sharded(4, 4)));
 }
 
 TEST(ScaleEngine, ParallelRequiresInstantDelivery) {
@@ -145,7 +148,7 @@ TEST(ScaleEngine, ParallelRequiresInstantDelivery) {
   opts.delivery.policy = net::DeliveryPolicyKind::kFaulty;
   HirepSystem system(opts);
   const std::vector<Pair> pairs = {{0, 1}};
-  EXPECT_THROW(system.run_transactions(pairs, Executor::parallel()),
+  EXPECT_THROW(system.run_transactions(pairs, Executor::sharded(0)),
                std::invalid_argument);
   // Serial batched execution over a faulty transport is still legal.
   EXPECT_NO_THROW(system.run_transactions(pairs, Executor::serial()));
@@ -164,7 +167,8 @@ TEST(ScaleEngine, SerialEngineAdvancesSystemLikeLegacyLoop) {
   // and the legacy single-transaction API still works afterwards.
   HirepSystem system(fast_options(9, 100));
   const auto pairs = draw_pairs(9, 100, 20);
-  const auto records = system.run_transactions(pairs, Executor::parallel(2));
+  const auto records =
+      system.run_transactions(pairs, Executor::sharded(2, 2));
   ASSERT_EQ(records.size(), pairs.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(records[i].requestor, pairs[i].first);

@@ -3,6 +3,7 @@
 // totals, envelope counters, and protocol-level obs counters — across
 // many seeds and shard counts, including workloads where every
 // transaction crosses a shard boundary.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
@@ -44,6 +45,61 @@ std::vector<Pair> draw_pairs(std::uint64_t seed, std::size_t nodes,
     if (r != p) pairs.emplace_back(r, p);
   }
   return pairs;
+}
+
+/// At least `count` pairs whose conflict-free prefix waves all hold
+/// exactly `wave` transactions.  Every node within a block of `wave` pairs
+/// is distinct, and each block opens with the previous block's first
+/// provider as its requestor, which ends the previous wave there.
+std::vector<Pair> forced_wave_pairs(std::uint64_t seed, std::size_t nodes,
+                                    std::size_t wave, std::size_t count) {
+  util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
+  std::vector<Pair> pairs;
+  net::NodeIndex carry = net::kInvalidNode;
+  while (pairs.size() < count) {
+    std::vector<std::uint8_t> used(nodes, 0);
+    const auto fresh = [&] {
+      auto v = static_cast<net::NodeIndex>(rng.below(nodes));
+      while (used[v]) v = static_cast<net::NodeIndex>(rng.below(nodes));
+      used[v] = 1;
+      return v;
+    };
+    for (std::size_t j = 0; j < wave; ++j) {
+      net::NodeIndex r;
+      if (j == 0 && carry != net::kInvalidNode) {
+        r = carry;
+        used[r] = 1;
+      } else {
+        r = fresh();
+      }
+      pairs.emplace_back(r, fresh());
+    }
+    carry = pairs[pairs.size() - wave].second;
+  }
+  return pairs;
+}
+
+/// The engine's wave rule (DESIGN.md §9), restated: a wave is the longest
+/// prefix of the remaining pairs in which no node appears twice.
+std::vector<std::size_t> prefix_wave_sizes(std::span<const Pair> pairs) {
+  std::vector<std::size_t> sizes;
+  std::size_t next = 0;
+  while (next < pairs.size()) {
+    std::vector<net::NodeIndex> claimed;
+    std::size_t stop = next;
+    for (; stop < pairs.size(); ++stop) {
+      const auto [r, p] = pairs[stop];
+      if (std::find(claimed.begin(), claimed.end(), r) != claimed.end() ||
+          std::find(claimed.begin(), claimed.end(), p) != claimed.end()) {
+        break;
+      }
+      claimed.push_back(r);
+      claimed.push_back(p);
+    }
+    sizes.push_back(stop - next);
+    next = stop;
+  }
+  return sizes;
 }
 
 void expect_records_identical(const std::vector<Record>& a,
@@ -191,22 +247,21 @@ TEST(ShardEngine, ShardedMatchesSerialFullCrypto) {
 }
 
 TEST(ShardEngine, EqualWaveWindowsCompareAcrossEngines) {
-  // The wave window moves barriers (hence deferred-maintenance timing), so
-  // the byte-identity contract is per-window: serial and sharded agree
-  // whenever their windows agree.
+  // Wave size sets how much each barrier exchanges and when deferred
+  // maintenance runs.  Pair streams built to force waves of exactly 1, 5
+  // and 16 transactions must still give serial and sharded runs that
+  // agree to the bit.
   const auto opts = fast_options(31, 96);
-  const auto pairs = draw_pairs(31, opts.nodes, 64);
-  for (std::size_t window : {1UL, 5UL, 16UL}) {
-    SCOPED_TRACE("wave_window " + std::to_string(window));
-    Executor serial = Executor::serial();
-    serial.wave_window = window;
-    Executor sharded = Executor::sharded(4, 2);
-    sharded.wave_window = window;
-    HirepSystem a(opts);
-    HirepSystem b(opts);
-    expect_records_identical(a.run_transactions(pairs, serial),
-                             b.run_transactions(pairs, sharded));
-    EXPECT_EQ(a.trust_message_total(), b.trust_message_total());
+  for (std::size_t wave : {1UL, 5UL, 16UL}) {
+    SCOPED_TRACE("wave " + std::to_string(wave));
+    const auto pairs = forced_wave_pairs(31 + wave, opts.nodes, wave, 64);
+    const auto waves = prefix_wave_sizes(pairs);
+    ASSERT_GT(waves.size(), 1u);
+    for (const std::size_t size : waves) EXPECT_EQ(size, wave);
+
+    const auto serial = run_trace(opts, pairs, Executor::serial());
+    const auto sharded = run_trace(opts, pairs, Executor::sharded(4, 2));
+    expect_traces_identical(serial, sharded);
   }
 }
 
@@ -239,10 +294,10 @@ TEST(ShardEngine, ShardedRequiresInstantDeliveryAndShardedMode) {
   EXPECT_THROW(faulty.run_transactions(pairs, Executor::sharded(2)),
                std::invalid_argument);
 
-  // A shard count on a non-sharded executor is rejected at the engine too
+  // A shard count on the serial executor is rejected at the engine too
   // (Executor::validate would have caught it earlier on the Scenario path).
   HirepSystem instant(fast_options(1, 64));
-  Executor misplaced = Executor::parallel(2);
+  Executor misplaced = Executor::serial();
   misplaced.shards = 2;
   EXPECT_THROW(instant.run_transactions(pairs, misplaced),
                std::invalid_argument);

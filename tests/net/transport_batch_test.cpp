@@ -361,9 +361,9 @@ TEST(EnvelopeMetrics, PayloadByteCountersFollowDeliveryOutcomes) {
 }
 
 TEST(ScaleLanes, ParallelLaneAbsorptionMatchesSerialAndResetsLaneArenas) {
-  // The lane-absorption identity under the batched pipeline: parallel
-  // waves over per-lane transports must reproduce the serial run record
-  // for record, and every lane arena is reset at the wave barrier.
+  // The lane-absorption identity under the batched pipeline: sharded
+  // waves over per-shard lane transports must reproduce the serial run
+  // record for record, and every lane arena is reset at the wave barrier.
   core::HirepOptions opts;
   opts.nodes = 200;
   opts.crypto = core::CryptoMode::kFast;
@@ -377,31 +377,31 @@ TEST(ScaleLanes, ParallelLaneAbsorptionMatchesSerialAndResetsLaneArenas) {
   }
 
   core::HirepSystem serial(opts);
-  core::HirepSystem parallel(opts);
+  core::HirepSystem sharded(opts);
   const auto serial_records =
       serial.run_transactions(pairs, core::Executor::serial());
   std::uint64_t resets_before = 0;
   if constexpr (obs::kEnabled) {
     resets_before = obs::Registry::global().counter("net.arena.resets").value();
   }
-  const auto parallel_records =
-      parallel.run_transactions(pairs, core::Executor::parallel(2));
+  const auto sharded_records =
+      sharded.run_transactions(pairs, core::Executor::sharded(2, 2));
   if constexpr (obs::kEnabled) {
     EXPECT_GT(obs::Registry::global().counter("net.arena.resets").value(),
               resets_before);
   }
 
-  ASSERT_EQ(serial_records.size(), parallel_records.size());
+  ASSERT_EQ(serial_records.size(), sharded_records.size());
   for (std::size_t i = 0; i < serial_records.size(); ++i) {
     SCOPED_TRACE("record " + std::to_string(i));
-    EXPECT_EQ(serial_records[i].requestor, parallel_records[i].requestor);
-    EXPECT_EQ(serial_records[i].provider, parallel_records[i].provider);
+    EXPECT_EQ(serial_records[i].requestor, sharded_records[i].requestor);
+    EXPECT_EQ(serial_records[i].provider, sharded_records[i].provider);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(serial_records[i].estimate),
-              std::bit_cast<std::uint64_t>(parallel_records[i].estimate));
+              std::bit_cast<std::uint64_t>(sharded_records[i].estimate));
     EXPECT_EQ(serial_records[i].trust_messages,
-              parallel_records[i].trust_messages);
+              sharded_records[i].trust_messages);
   }
-  EXPECT_EQ(serial.trust_message_total(), parallel.trust_message_total());
+  EXPECT_EQ(serial.trust_message_total(), sharded.trust_message_total());
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // (collusion ring, sybil floods, whitewashing, on-off oscillators, front
 // peers), the §3.4.3 quarantine ladder evicting sybil-corrupted agents,
 // and bit-identical replay of a full campaign across runs and across the
-// serial | parallel | sharded executors.
+// serial and sharded executors (two shard counts).
 #include "sim/adversary.hpp"
 
 #include <gtest/gtest.h>
@@ -416,11 +416,11 @@ TEST(AdversaryReplay, FullCampaignIsBitIdenticalAcrossRunsAndExecutors) {
 
   const auto serial = run(core::Executor::serial());
   const auto serial_again = run(core::Executor::serial());
-  const auto parallel = run(core::Executor::parallel());
+  const auto sharded3 = run(core::Executor::sharded(3, 2));
   const auto sharded = run(core::Executor::sharded(4));
 
   expect_records_bit_identical(serial.first, serial_again.first);
-  expect_records_bit_identical(serial.first, parallel.first);
+  expect_records_bit_identical(serial.first, sharded3.first);
   expect_records_bit_identical(serial.first, sharded.first);
   const auto expect_counters_equal = [](const Adversary::Counters& a,
                                         const Adversary::Counters& b) {
@@ -436,7 +436,7 @@ TEST(AdversaryReplay, FullCampaignIsBitIdenticalAcrossRunsAndExecutors) {
     EXPECT_EQ(a.front_recruits, b.front_recruits);
   };
   expect_counters_equal(serial.second, serial_again.second);
-  expect_counters_equal(serial.second, parallel.second);
+  expect_counters_equal(serial.second, sharded3.second);
   expect_counters_equal(serial.second, sharded.second);
   // The campaign genuinely fired.
   EXPECT_EQ(serial.second.ring_recruits, 4u);
@@ -448,11 +448,10 @@ TEST(AdversaryExecution, ScenarioPerformsNoExecutorDowngrade) {
   // Unlike chaos, the adversary never touches the wire, so adversary=on
   // keeps the configured executor.
   Params p = small_params();
-  p.execution = "parallel";
+  p.execution = "sharded";
   p.adversary = "on";
   EXPECT_EQ(Scenario(p).execution_policy().mode,
-            core::ExecutionMode::kParallel);
-  p.execution = "sharded";
+            core::ExecutionMode::kSharded);
   p.shards = 4;
   EXPECT_EQ(Scenario(p).execution_policy().mode,
             core::ExecutionMode::kSharded);

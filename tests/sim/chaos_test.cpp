@@ -272,24 +272,23 @@ TEST(ChaosExecution, ParallelBatchesAreRejectedUnderChaos) {
   core::HirepSystem sys(p.hirep_options());
   install_chaos(sys, p);
   const std::vector<std::pair<net::NodeIndex, net::NodeIndex>> pairs{{0, 1}};
-  EXPECT_THROW(sys.run_transactions(pairs, core::Executor::parallel()),
+  // The concurrent engine is rejected whatever its shard count.
+  EXPECT_THROW(sys.run_transactions(pairs, core::Executor::sharded(0)),
                std::invalid_argument);
-  // The sharded engine falls under the same rule.
   EXPECT_THROW(sys.run_transactions(pairs, core::Executor::sharded(2)),
                std::invalid_argument);
 }
 
 TEST(ChaosExecution, ScenarioDowngradesToSerialWhenChaosIsOn) {
   Params p = small_params();
-  p.execution = "parallel";
+  p.execution = "sharded";
   p.chaos = "on";
   EXPECT_EQ(Scenario(p).execution_policy().mode,
             core::ExecutionMode::kSerial);
   p.chaos = "off";
   EXPECT_EQ(Scenario(p).execution_policy().mode,
-            core::ExecutionMode::kParallel);
-  // chaos + sharded downgrades exactly like chaos + parallel.
-  p.execution = "sharded";
+            core::ExecutionMode::kSharded);
+  // An explicit shard count downgrades the same way, and is cleared.
   p.shards = 4;
   p.chaos = "on";
   const auto downgraded = Scenario(p).execution_policy();

@@ -1,9 +1,9 @@
 // Golden-value pins for the figure pipelines.  The tables below were
 // captured at full double precision from the batched scale engine
 // (per-transaction RNG streams, pre-drawn workload, Neumaier-compensated
-// MSE windows) with the parallel executor enabled; both executors and any
-// future refactor must keep reproducing them bit for bit — message counts
-// AND estimates.
+// MSE windows); both executors (serial and sharded) and any future
+// refactor must keep reproducing them bit for bit — message counts AND
+// estimates.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -146,10 +146,10 @@ TEST(GoldenValues, Fig6FullCryptoIsUnchangedByTheBignumKernel) {
 }
 
 TEST(GoldenValues, SerialExecutorReproducesTheSameFigures) {
-  // The pins above run with Params' default execution=parallel; the serial
+  // The pins above run with Params' default execution=serial; the sharded
   // engine must land on every golden bit as well.
   Params p = golden_params();
-  p.execution = "serial";
+  p.execution = "sharded";
   expect_table_equals(run_fig5_traffic(p).table, kFig5Golden);
   expect_table_equals(run_fig6_accuracy(p).table, kFig6Golden);
 }

@@ -209,28 +209,30 @@ TEST(ScenarioBuilder, FluentChainProjectsIntoEngineOptions) {
 }
 
 TEST(ScenarioExecutionPolicy, ParallelOnlyUnderInstantDelivery) {
-  auto sc = Scenario().execution("parallel").threads(4);
-  EXPECT_EQ(sc.execution_policy().mode, core::ExecutionMode::kParallel);
+  // The default engine is the serial reference.
+  EXPECT_EQ(Scenario().execution_policy().mode, core::ExecutionMode::kSerial);
+
+  auto sc = Scenario().execution("sharded").threads(4);
+  EXPECT_EQ(sc.execution_policy().mode, core::ExecutionMode::kSharded);
   EXPECT_EQ(sc.execution_policy().threads, 4u);
 
   // Lossy/delayed transports are order-dependent: downgrade to serial.
   sc.delivery("latency");
   EXPECT_EQ(sc.execution_policy().mode, core::ExecutionMode::kSerial);
   sc.delivery("instant");
-  EXPECT_EQ(sc.execution_policy().mode, core::ExecutionMode::kParallel);
+  EXPECT_EQ(sc.execution_policy().mode, core::ExecutionMode::kSharded);
 
   sc.execution("serial");
   EXPECT_EQ(sc.execution_policy().mode, core::ExecutionMode::kSerial);
 }
 
 TEST(ScenarioExecutionPolicy, ShardedKnobsProjectAndValidate) {
-  auto sc = Scenario().execution("sharded").shards(4).threads(2).wave_window(64);
+  auto sc = Scenario().execution("sharded").shards(4).threads(2);
   sc.validate();
   const auto exec = sc.execution_policy();
   EXPECT_EQ(exec.mode, core::ExecutionMode::kSharded);
   EXPECT_EQ(exec.shards, 4u);
   EXPECT_EQ(exec.threads, 2u);
-  EXPECT_EQ(exec.wave_window, 64u);
 
   // Downgrade clears the shard count with the mode.
   sc.delivery("latency");
@@ -247,12 +249,29 @@ TEST(ScenarioValidate, RejectsNonsenseEngineKnobs) {
   EXPECT_THROW(
       Scenario(Params{.execution = "sharded", .shards = 5000}).validate(),
       std::invalid_argument);
-  EXPECT_THROW(Scenario(Params{.wave_window = 2'000'000'000}).validate(),
-               std::invalid_argument);
   EXPECT_THROW(Scenario(Params{.execution = "bogus"}).validate(),
                std::invalid_argument);
+  // "parallel" names no engine: it is rejected, not aliased, and both the
+  // message and --help name the engines there are.
+  const auto rejection = [](const auto& build) -> std::string {
+    try {
+      build();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(rejection([] { Scenario::from_config(cfg("execution=parallel")); })
+                .find("serial|sharded"),
+            std::string::npos);
+  EXPECT_NE(rejection([] {
+              Scenario(Params{.execution = "parallel"}).validate();
+            }).find("serial|sharded"),
+            std::string::npos);
+  EXPECT_NE(Scenario::help_text().find("serial|sharded"), std::string::npos);
+  EXPECT_EQ(Scenario::help_text().find("parallel"), std::string::npos);
   // shards only makes sense under the sharded engine.
-  EXPECT_THROW(Scenario(Params{.execution = "parallel", .shards = 2}).validate(),
+  EXPECT_THROW(Scenario(Params{.execution = "serial", .shards = 2}).validate(),
                std::invalid_argument);
   EXPECT_NO_THROW(
       Scenario(Params{.execution = "sharded", .shards = 8}).validate());
