@@ -17,8 +17,7 @@ ReputationAgent::ReputationAgent(const crypto::Identity* identity,
 
 bool ReputationAgent::register_key(const crypto::NodeId& id,
                                    const crypto::RsaPublicKey& sp) {
-  const auto it = key_list_.find(id);
-  if (it != key_list_.end() && it->second == sp) return true;
+  if (lists_key(id, sp)) return true;
   // Self-certifying check: the id must be the hash of the key.  This is
   // what forecloses man-in-the-middle key substitution (§3.3).
   if (crypto::node_id_of_cached(sp) != id) return false;
@@ -58,7 +57,7 @@ std::optional<crypto::RsaPublicKey> ReputationAgent::lookup_key(
 
 double ReputationAgent::trust_value(const crypto::NodeId& subject,
                                     net::NodeIndex subject_ip,
-                                    util::Rng& rng) {
+                                    util::Rng& rng) const {
   const bool poor = truth_->poor_evaluator(self_);
   if (!poor) {
     // A good agent prefers accumulated authentic reports once it has seen

@@ -42,6 +42,13 @@ class ReputationAgent {
   /// key equal to the one already listed under `id` was checked when it
   /// was listed and is accepted without a second check.
   bool register_key(const crypto::NodeId& id, const crypto::RsaPublicKey& sp);
+  /// True when `sp` is already the key listed under `id` — registering it
+  /// again would change nothing.  Read-only and allocation-free.
+  bool lists_key(const crypto::NodeId& id,
+                 const crypto::RsaPublicKey& sp) const {
+    const auto it = key_list_.find(id);
+    return it != key_list_.end() && it->second == sp;
+  }
 
   /// §3.5 key rotation: verifies an old-key-signed announcement and maps
   /// the old nodeId to the new one — key list entry AND accumulated trust
@@ -58,7 +65,7 @@ class ReputationAgent {
   /// `subject_ip` is the simulation-side handle used to consult the
   /// agent's innate evaluation capability.
   double trust_value(const crypto::NodeId& subject, net::NodeIndex subject_ip,
-                     util::Rng& rng);
+                     util::Rng& rng) const;
 
   /// Accepts a transaction report about `subject` after the caller has
   /// verified its signature (see protocol.hpp).  Good agents feed their

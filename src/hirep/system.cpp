@@ -108,7 +108,6 @@ void HirepSystem::make_agent(net::NodeIndex v,
       identity, v, &truth_, trust::model_factory_by_name(options_.agent_model),
       options_.min_reports_for_model);
   rt.relays = peers_[v].relays();  // agents reuse their verified relays
-  rt.mu = std::make_unique<util::Mutex>();
   rt.recovery = std::make_unique<AgentRecovery>();
   agent_online_[v] = 1;
   ++agent_count_;
@@ -217,6 +216,16 @@ HirepSystem::AgentRef HirepSystem::resolve_agent(const crypto::NodeId& id) {
     ref.rt = &agent_runtimes_[ref.ip];
   }
   return ref;
+}
+
+template <typename Body>
+auto HirepSystem::run_alone(Body&& body) {
+  std::vector<AgentWrite> writes;
+  TxnCtx ctx = legacy_ctx();
+  ctx.writes = &writes;
+  auto result = body(ctx);
+  for (const AgentWrite& write : writes) apply_write(write);
+  return result;
 }
 
 std::vector<net::NodeIndex> HirepSystem::path_of(
@@ -541,15 +550,10 @@ std::optional<double> HirepSystem::exchange_with_agent(
                                                requestor.ip(), entry.relay_path);
     ctx.trust_messages += to_agent.messages;
     if (!to_agent.ok) return std::nullopt;
-    double value;
-    {
-      // Agents may be shared between transactions of one wave; requestors
-      // are not.  All agent-side state transitions commute (see DESIGN §9).
-      util::MutexLock lock(*rt->mu);
-      rt->agent->register_key(requestor.node_id(),
-                              requestor.identity().signature_public());
-      value = rt->agent->trust_value(subject_id, subject_ip, *ctx.rng);
-    }
+    log_registration(ctx, agent_ip, requestor.node_id(),
+                     requestor.identity().signature_public());
+    const double value =
+        rt->agent->trust_value(subject_id, subject_ip, *ctx.rng);
     if constexpr (obs::kEnabled) {
       static obs::Counter& votes =
           obs::Registry::global().counter("hirep.trust.votes_sent");
@@ -593,13 +597,10 @@ std::optional<double> HirepSystem::exchange_with_agent(
   if (!parsed) return std::nullopt;
   const auto opened = open_trust_request(rt->agent->identity(), *parsed);
   if (!opened) return std::nullopt;
-  double value;
-  {
-    util::MutexLock lock(*rt->mu);
-    rt->agent->register_key(crypto::node_id_of_cached(parsed->sp_p),
-                            parsed->sp_p);
-    value = rt->agent->trust_value(opened->subject, subject_ip, *ctx.rng);
-  }
+  log_registration(ctx, agent_ip, crypto::node_id_of_cached(parsed->sp_p),
+                   parsed->sp_p);
+  const double value =
+      rt->agent->trust_value(opened->subject, subject_ip, *ctx.rng);
   if constexpr (obs::kEnabled) {
     static obs::Counter& votes =
         obs::Registry::global().counter("hirep.trust.votes_sent");
@@ -693,8 +694,9 @@ HirepSystem::QueryResult HirepSystem::query_trust(TxnCtx& ctx,
 
 HirepSystem::QueryResult HirepSystem::query_trust(net::NodeIndex requestor_ip,
                                                   net::NodeIndex subject_ip) {
-  TxnCtx ctx = legacy_ctx();
-  return query_trust(ctx, requestor_ip, subject_ip);
+  return run_alone([&](TxnCtx& ctx) {
+    return query_trust(ctx, requestor_ip, subject_ip);
+  });
 }
 
 void HirepSystem::send_report(TxnCtx& ctx, Peer& reporter, AgentEntry& entry,
@@ -707,52 +709,43 @@ void HirepSystem::send_report(TxnCtx& ctx, Peer& reporter, AgentEntry& entry,
   auto routed = route_envelope(ctx, reporter.ip(), entry.onion,
                                report.serialize(), net::EnvelopeType::kReport);
   if (!routed.delivered) return;
-  if (defer_cross_shard(ctx, ref.ip)) {
-    // The delivered envelope payload is replayed verbatim at the barrier.
-    queue_cross_shard(ctx, {ctx.txn_index, ref.ip, subject_id, outcome,
-                            std::move(routed.payload)});
-    return;
-  }
-  receive_report(*ref.rt, routed.payload);
+  ctx.writes->push_back({.txn = ctx.txn_index,
+                         .agent_ip = ref.ip,
+                         .kind = AgentWrite::Kind::kWireReport,
+                         .wire = std::move(routed.payload)});
 }
 
-void HirepSystem::queue_cross_shard(TxnCtx& ctx, DeferredReport dr) {
-  // Wire delivery and accounting happened on this shard's lane; the state
-  // application crosses a shard boundary and waits for the barrier
-  // (DESIGN.md §14).
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& deferred =
-        obs::Registry::global().counter("hirep.engine.cross_shard_reports");
-    deferred.add();
-  }
-  ctx.report_outbox->push_back(std::move(dr));
+void HirepSystem::log_registration(TxnCtx& ctx, net::NodeIndex agent_ip,
+                                   const crypto::NodeId& id,
+                                   const crypto::RsaPublicKey& key) {
+  if (agent_runtimes_[agent_ip].agent->lists_key(id, key)) return;
+  ctx.writes->push_back({.txn = ctx.txn_index,
+                         .agent_ip = agent_ip,
+                         .kind = AgentWrite::Kind::kRegisterKey,
+                         .id = id,
+                         .key = key});
 }
 
-void HirepSystem::receive_report(AgentRuntime& rt, const util::Bytes& wire) {
-  const auto parsed = TransactionReport::deserialize(wire);
-  if (!parsed) return;
-  // lookup_key returns the key by value, so the signature check (the
-  // expensive part) runs outside the agent lock.
-  std::optional<crypto::RsaPublicKey> sp;
-  {
-    util::MutexLock lock(*rt.mu);
-    sp = rt.agent->lookup_key(parsed->reporter);
+void HirepSystem::apply_write(const AgentWrite& write) {
+  ReputationAgent& agent = *agent_runtimes_[write.agent_ip].agent;
+  switch (write.kind) {
+    case AgentWrite::Kind::kRegisterKey:
+      agent.register_key(write.id, write.key);
+      return;
+    case AgentWrite::Kind::kReport:
+      agent.accept_report(write.id, write.outcome);
+      return;
+    case AgentWrite::Kind::kWireReport: {
+      const auto parsed = TransactionReport::deserialize(write.wire);
+      if (!parsed) return;
+      const auto sp = agent.lookup_key(parsed->reporter);
+      if (!sp) return;  // unknown reporter: §3.5.3 drop
+      const auto opened = verify_report(*sp, *parsed);
+      if (!opened) return;  // bad signature: drop
+      agent.accept_report(opened->subject, opened->outcome);
+      return;
+    }
   }
-  if (!sp) return;  // unknown reporter: §3.5.3 drop
-  const auto opened = verify_report(*sp, *parsed);
-  if (!opened) return;  // bad signature: drop
-  util::MutexLock lock(*rt.mu);
-  rt.agent->accept_report(opened->subject, opened->outcome);
-}
-
-void HirepSystem::apply_deferred_report(const DeferredReport& dr) {
-  AgentRuntime& rt = agent_runtimes_[dr.agent_ip];
-  if (dr.wire.empty()) {  // fast crypto: apply subject + outcome directly
-    util::MutexLock lock(*rt.mu);
-    rt.agent->accept_report(dr.subject, dr.outcome);
-    return;
-  }
-  receive_report(rt, dr.wire);  // full crypto: same drops as inline
 }
 
 void HirepSystem::report_batch(TxnCtx& ctx, Peer& reporter,
@@ -760,29 +753,25 @@ void HirepSystem::report_batch(TxnCtx& ctx, Peer& reporter,
                                double outcome) {
   // Fast-crypto fan-out: every §3.6 report of this transaction rides in
   // one envelope batch through the reliable channel.  Reports need no
-  // acknowledgement — any copy that arrived is applied at most once — and
-  // agent application commutes across distinct agents, so tallying after
-  // the batch is equivalent to the per-entry sequential form.
+  // acknowledgement — any copy that arrived is logged once — so logging
+  // after the batch is equivalent to the per-entry sequential form.
   std::vector<net::ReliableChannel::BatchRequest> requests;
-  std::vector<AgentRef> targets;
+  std::vector<net::NodeIndex> targets;
   for (auto& entry : reporter.agents().entries()) {
     const AgentRef ref = resolve_agent(entry.agent_id);
     if (!ref || !agent_online_[ref.ip]) continue;
     requests.push_back({reporter.ip(), &entry.relay_path, {}});
-    targets.push_back(ref);
+    targets.push_back(ref.ip);
   }
   const auto routed =
       ctx.channel->request_batch(net::EnvelopeType::kReport, requests);
   for (std::size_t i = 0; i < routed.size(); ++i) {
     ctx.trust_messages += routed[i].messages;
     if (!routed[i].applied) continue;  // report lost: agent never learns
-    if (defer_cross_shard(ctx, targets[i].ip)) {
-      queue_cross_shard(ctx,
-                        {ctx.txn_index, targets[i].ip, subject_id, outcome, {}});
-      continue;
-    }
-    util::MutexLock lock(*targets[i].rt->mu);
-    targets[i].rt->agent->accept_report(subject_id, outcome);
+    ctx.writes->push_back({.txn = ctx.txn_index,
+                           .agent_ip = targets[i],
+                           .id = subject_id,
+                           .outcome = outcome});
   }
 }
 
@@ -815,12 +804,13 @@ HirepSystem::TransactionRecord HirepSystem::run_transaction() {
 
 HirepSystem::TransactionRecord HirepSystem::run_transaction(
     net::NodeIndex requestor, net::NodeIndex provider) {
-  TxnCtx ctx = legacy_ctx();
-  const QueryResult query = query_trust(ctx, requestor, provider);
-  TransactionRecord record = complete_transaction(ctx, requestor, provider,
-                                                  query);
-  record.trust_messages = ctx.trust_messages;
-  return record;
+  return run_alone([&](TxnCtx& ctx) {
+    const QueryResult query = query_trust(ctx, requestor, provider);
+    TransactionRecord record =
+        complete_transaction(ctx, requestor, provider, query);
+    record.trust_messages = ctx.trust_messages;
+    return record;
+  });
 }
 
 HirepSystem::TransactionRecord HirepSystem::complete_transaction(
@@ -882,8 +872,9 @@ HirepSystem::TransactionRecord HirepSystem::complete_transaction(
 HirepSystem::TransactionRecord HirepSystem::complete_transaction(
     net::NodeIndex requestor, net::NodeIndex provider,
     const QueryResult& query) {
-  TxnCtx ctx = legacy_ctx();
-  return complete_transaction(ctx, requestor, provider, query);
+  return run_alone([&](TxnCtx& ctx) {
+    return complete_transaction(ctx, requestor, provider, query);
+  });
 }
 
 util::Rng HirepSystem::txn_stream(std::uint64_t index) const {
@@ -950,12 +941,12 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
   std::vector<std::uint8_t> busy(peers_.size(), 0);
   std::vector<std::size_t> wave;
   std::vector<std::vector<std::uint64_t>> reserved;
-  // Sharded scratch, reused across waves (DESIGN.md §14).
-  std::vector<std::vector<std::size_t>> shard_slots;
-  std::vector<std::vector<DeferredReport>> outboxes;
-  std::vector<DeferredReport> exchange;
-  std::vector<std::uint32_t> exchange_order;
-  std::vector<net::ReceiptGroup> exchange_groups;
+  // Per-slice scratch, reused across waves (DESIGN.md §14).
+  std::vector<std::vector<std::size_t>> slots;
+  std::vector<std::vector<AgentWrite>> logs;
+  std::vector<AgentWrite> writes;
+  std::vector<std::uint32_t> write_order;
+  std::vector<net::ReceiptGroup> write_groups;
   std::size_t next = 0;
 
   while (next < pairs.size()) {
@@ -963,11 +954,11 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
     // transactions.  A transaction joins until one shows up whose
     // requestor or provider node is already claimed — those are the only
     // peers a transaction mutates, so wave members touch disjoint peer
-    // state (agents are shared but internally locked; their transitions
-    // commute per subject, DESIGN §9).  The prefix rule — rather than
-    // skipping ahead past conflicts — keeps execution equivalent to strict
-    // index-order serial execution, so splitting a batch at any boundary
-    // yields byte-identical records (checkpointed experiments compose).
+    // state (agents are shared but read-only until the barrier, DESIGN
+    // §9).  The prefix rule — rather than skipping ahead past conflicts —
+    // keeps execution equivalent to strict index-order serial execution,
+    // so splitting a batch at any boundary yields byte-identical records
+    // (checkpointed experiments compose).
     wave.clear();
     std::fill(busy.begin(), busy.end(), std::uint8_t{0});
     std::size_t stop = next;
@@ -997,75 +988,89 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
       }
     }
 
-    const auto run_one = [&](std::size_t j, net::Transport& lane,
-                             net::ReliableChannel& channel,
-                             std::size_t home_shard,
-                             std::vector<DeferredReport>* outbox) {
-      const std::size_t i = wave[j];
-      util::Rng rng = txn_stream(txn_counter_ + i);
-      TxnCtx ctx;
-      ctx.rng = &rng;
-      ctx.transport = &lane;
-      ctx.channel = &channel;
-      if (instant) ctx.reserved_sqs = &reserved[j];
-      ctx.defer_refill = true;
-      ctx.shard_count = shard_count;
-      ctx.home_shard = home_shard;
-      ctx.txn_index = txn_counter_ + i;
-      ctx.report_outbox = outbox;
-      const auto [r, p] = pairs[i];
-      const QueryResult query = query_trust(ctx, r, p);
-      records[i] = complete_transaction(ctx, r, p, query);
-      records[i].trust_messages = ctx.trust_messages;
-      wants_refill[i] = ctx.wants_refill ? 1 : 0;
+    // Slices: a transaction's home slice is its requestor's
+    // `node % slices`, and ascending j keeps each slice in transaction
+    // order.  The sharded engine fans a wave out to one slice per shard,
+    // each on its own lane; the serial engine (and a one-transaction
+    // wave, which has nothing to split) is the one-slice case on the
+    // primary transport.
+    const bool fan_out = sharded && wave.size() > 1;
+    const std::size_t slices = fan_out ? shard_count : 1;
+    slots.assign(slices, {});
+    logs.resize(slices);
+    for (std::size_t j = 0; j < wave.size(); ++j) {
+      slots[pairs[wave[j]].first % slices].push_back(j);
+    }
+    const auto each_slice = [&](std::size_t count, const auto& fn) {
+      if (fan_out) {
+        pool_->parallel_for(count, fn);
+      } else {
+        for (std::size_t s = 0; s < count; ++s) fn(s);
+      }
     };
 
-    if (sharded && wave.size() > 1) {
-      // Shard partition: a transaction's home shard is its requestor's
-      // `node % shard_count`.  Ascending j within a slot keeps each
-      // shard's slice in transaction order; every report a transaction
-      // sends lands in its home shard's outbox in send order.
-      shard_slots.assign(shard_count, {});
-      outboxes.assign(shard_count, {});
-      for (std::size_t j = 0; j < wave.size(); ++j) {
-        shard_slots[pairs[wave[j]].first % shard_count].push_back(j);
+    each_slice(slices, [&](std::size_t s) {
+      for (const std::size_t j : slots[s]) {
+        const std::size_t i = wave[j];
+        util::Rng rng = txn_stream(txn_counter_ + i);
+        TxnCtx ctx;
+        ctx.rng = &rng;
+        ctx.transport = fan_out ? lanes_[s].get() : &transport_;
+        ctx.channel = fan_out ? lane_channels_[s].get() : &reliable_;
+        if (instant) ctx.reserved_sqs = &reserved[j];
+        ctx.defer_refill = true;
+        ctx.writes = &logs[s];
+        ctx.txn_index = txn_counter_ + i;
+        const auto [r, p] = pairs[i];
+        const QueryResult query = query_trust(ctx, r, p);
+        records[i] = complete_transaction(ctx, r, p, query);
+        records[i].trust_messages = ctx.trust_messages;
+        wants_refill[i] = ctx.wants_refill ? 1 : 0;
       }
-      pool_->parallel_for(shard_count, [&](std::size_t s) {
-        for (const std::size_t j : shard_slots[s]) {
-          run_one(j, *lanes_[s], *lane_channels_[s], s, &outboxes[s]);
-        }
-      });
+    });
 
-      // Barrier step 1 — deterministic cross-shard report exchange: merge
-      // every shard's outbox, restore serial transaction order (stable
-      // sort keeps one transaction's reports in send order), then group by
-      // destination shard through the same grouped-visit engine the
-      // envelope batches drain with.  Groups touch disjoint agents
-      // (destination shards partition agents), so they apply in parallel;
-      // within a group, reports apply in serial order.
-      exchange.clear();
-      for (auto& outbox : outboxes) {
-        for (auto& dr : outbox) exchange.push_back(std::move(dr));
+    // Barrier step 1 — apply the wave's agent writes: merge the slice
+    // logs, restore serial transaction order (the stable sort keeps one
+    // transaction's writes in send order, registrations before the reports
+    // that need them), then group by destination shard through the same
+    // grouped-visit engine the envelope batches drain with.  Groups touch
+    // disjoint agents, so they apply in parallel, each in serial order.
+    writes.clear();
+    std::uint64_t cross_shard = 0;
+    for (std::size_t s = 0; s < slices; ++s) {
+      for (auto& write : logs[s]) {
+        cross_shard += write.kind != AgentWrite::Kind::kRegisterKey &&
+                       write.agent_ip % slices != s;
+        writes.push_back(std::move(write));
       }
-      std::stable_sort(exchange.begin(), exchange.end(),
-                       [](const DeferredReport& a, const DeferredReport& b) {
-                         return a.txn < b.txn;
-                       });
-      exchange_groups.clear();
-      net::visit_groups(
-          exchange.size(), [](std::uint32_t) { return true; },
-          [&](std::uint32_t i) {
-            return static_cast<std::uint64_t>(exchange[i].agent_ip) %
-                   shard_count;
-          },
-          exchange_order,
-          [&](const net::ReceiptGroup& g) { exchange_groups.push_back(g); });
-      pool_->parallel_for(exchange_groups.size(), [&](std::size_t g) {
-        for (const std::uint32_t i : exchange_groups[g].entries) {
-          apply_deferred_report(exchange[i]);
-        }
-      });
+      logs[s].clear();
+    }
+    if constexpr (obs::kEnabled) {
+      if (cross_shard != 0) {
+        static obs::Counter& cross_shard_reports = obs::Registry::global()
+            .counter("hirep.engine.cross_shard_reports");
+        cross_shard_reports.add(cross_shard);
+      }
+    }
+    std::stable_sort(writes.begin(), writes.end(),
+                     [](const AgentWrite& a, const AgentWrite& b) {
+                       return a.txn < b.txn;
+                     });
+    write_groups.clear();
+    net::visit_groups(
+        writes.size(), [](std::uint32_t) { return true; },
+        [&](std::uint32_t w) {
+          return static_cast<std::uint64_t>(writes[w].agent_ip) % slices;
+        },
+        write_order,
+        [&](const net::ReceiptGroup& g) { write_groups.push_back(g); });
+    each_slice(write_groups.size(), [&](std::size_t g) {
+      for (const std::uint32_t w : write_groups[g].entries) {
+        apply_write(writes[w]);
+      }
+    });
 
+    if (fan_out) {
       // Barrier step 2 — fold lane envelope counters back into the primary
       // transport so its totals match a serial run, release each lane's
       // payload arena (batches never outlive a wave, so lane memory stays
@@ -1081,20 +1086,12 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
       for (std::size_t s = 0; s < shard_count; ++s) {
         lanes_[s]->sim().advance_to(latest);
       }
-    } else {
-      // Serial reference (also a single-transaction sharded wave:
-      // with one transaction there is nothing to exchange, so the
-      // home-shard context is irrelevant and inline application matches
-      // the barrier replay byte for byte).
-      for (std::size_t j = 0; j < wave.size(); ++j) {
-        run_one(j, transport_, reliable_, 0, nullptr);
-      }
     }
 
     // Deferred §3.4.3 maintenance: serial, in transaction order, on its
     // own stream — refills never perturb any transaction's draws.  Runs
-    // after the cross-shard exchange, matching the serial order in which
-    // every report of a wave precedes every refill of that wave.
+    // after the agent writes, so every report of a wave precedes every
+    // refill of that wave.
     for (std::size_t j = 0; j < wave.size(); ++j) {
       const std::size_t i = wave[j];
       if (!wants_refill[i]) continue;

@@ -44,7 +44,6 @@
 #include "net/transport.hpp"
 #include "onion/router.hpp"
 #include "trust/ground_truth.hpp"
-#include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hirep::core {
@@ -221,14 +220,15 @@ class HirepSystem {
   /// sequence into consecutive batches (checkpointed experiments) yields
   /// the same records as one big batch.  Execution proceeds in
   /// conflict-free prefix waves — a wave grows while its transactions'
-  /// requestor/provider nodes are all distinct — and §3.4.3 refills are
-  /// deferred to each wave's barrier, serial in transaction order.
+  /// requestor/provider nodes are all distinct.  Agents are read-only
+  /// inside a wave; its key registrations and reports apply at the barrier
+  /// in transaction order, then the deferred §3.4.3 refills run.
   ///
   /// Under ExecutionMode::kSharded, agents are partitioned into
   /// exec.shards shards by node index; each wave splits by the requestor's
   /// home shard, shards execute their slices on their own transport
-  /// lane/arena/event queue, and cross-shard report envelopes are
-  /// exchanged deterministically at the wave barrier (DESIGN.md §14).
+  /// lane/arena/event queue, and the barrier applies each destination
+  /// shard's writes on a pool thread (DESIGN.md §14).
   ///
   /// Throws std::invalid_argument on an out-of-range or requestor==provider
   /// pair, and when exec is concurrent while the delivery policy is not
@@ -250,28 +250,26 @@ class HirepSystem {
   std::uint64_t trust_message_total() const;
 
  private:
-  /// Community-side failure bookkeeping for one agent.  Atomics (not the
-  /// agent mutex): engine lanes note failures for shared agents
-  /// concurrently, and increments/threshold-crossings commute, so the
-  /// post-wave state is scheduling-independent.  Heap-allocated to keep
-  /// AgentRuntime movable.
+  /// Community-side failure bookkeeping for one agent.  Atomics: engine
+  /// lanes note failures for shared agents concurrently, and
+  /// increments/threshold-crossings commute, so the post-wave state is
+  /// scheduling-independent.  Heap-allocated to keep AgentRuntime movable.
   struct AgentRecovery {
     std::atomic<std::uint32_t> suspicion{0};  ///< consecutive failures
     std::atomic<bool> quarantined{false};
   };
 
+  /// One node's agent-side state.  Transactions only read `agent`; its
+  /// writes go through the write log (AgentWrite), so a wave may share an
+  /// agent between lanes without a lock.
   struct AgentRuntime {
     std::unique_ptr<ReputationAgent> agent;  ///< null: node is not an agent
     std::vector<onion::RelayInfo> relays;
-    /// Serializes agent-side mutation when engine waves share the agent
-    /// (requestors/providers are exclusive per wave; agents are not).
-    /// Allocated only for actual agents; unique_ptr keeps Runtime movable.
-    std::unique_ptr<util::Mutex> mu;
     std::unique_ptr<AgentRecovery> recovery;  ///< allocated for agents only
   };
 
   /// A resolved agent: the runtime record plus its overlay index, from one
-  /// nodeId lookup (the old runtime_of + ip_of pair cost two).
+  /// nodeId lookup.
   struct AgentRef {
     AgentRuntime* rt = nullptr;  ///< null: unknown id or not an agent
     net::NodeIndex ip = net::kInvalidNode;  ///< set for any known id
@@ -284,19 +282,23 @@ class HirepSystem {
   /// Installs agent state for node v (relays shared with its peer).
   void make_agent(net::NodeIndex v, const crypto::Identity* identity);
 
-  /// One report whose wire delivery already happened on the sending shard's
-  /// lane but whose agent-state application crosses a shard boundary.
-  /// Collected per shard during a wave and replayed at the barrier in
-  /// serial transaction order (DESIGN.md §14).  An empty `wire` marks a
-  /// fast-crypto report (subject + outcome applied directly); a non-empty
-  /// `wire` is a full-crypto TransactionReport envelope payload that still
-  /// needs lookup_key / verify / accept at the receiving agent.
-  struct DeferredReport {
-    std::uint64_t txn = 0;          ///< lifetime transaction index
+  /// One write a transaction makes to an agent's state.  Its wire traffic
+  /// already happened on the transaction's lane; the write itself is
+  /// logged in send order and applied after the transaction body — at the
+  /// wave barrier, in transaction order (DESIGN.md §14.3).
+  struct AgentWrite {
+    enum class Kind : std::uint8_t {
+      kRegisterKey,  ///< list `key` under `id` (first trust request)
+      kReport,       ///< fast crypto: record `outcome` about subject `id`
+      kWireReport,   ///< full crypto: verify, then accept, the report `wire`
+    };
+    std::uint64_t txn = 0;  ///< lifetime transaction index
     net::NodeIndex agent_ip = net::kInvalidNode;
-    crypto::NodeId subject{};
+    Kind kind = Kind::kReport;
+    crypto::NodeId id{};
     double outcome = 0.0;
-    util::Bytes wire;
+    crypto::RsaPublicKey key{};
+    util::Bytes wire{};
   };
 
   /// Everything one in-flight transaction threads through the protocol
@@ -320,17 +322,15 @@ class HirepSystem {
     /// inside the wave (it mutates shared discovery state).
     bool defer_refill = false;
     bool wants_refill = false;
-    // Sharded engine (DESIGN.md §14): agents are partitioned by
-    // `node index % shard_count`.  A report whose receiving agent lives on
-    // a foreign shard is sent on this shard's lane (wire traffic and
-    // message accounting stay local) but its state application is queued
-    // into `report_outbox` and replayed at the wave barrier.
-    std::size_t shard_count = 1;
-    std::size_t home_shard = 0;
-    std::uint64_t txn_index = 0;       ///< lifetime index, for barrier ordering
-    std::vector<DeferredReport>* report_outbox = nullptr;
+    /// This transaction's agent writes, appended in send order.
+    std::vector<AgentWrite>* writes = nullptr;
+    std::uint64_t txn_index = 0;  ///< lifetime index, for barrier ordering
   };
   TxnCtx legacy_ctx() noexcept { return TxnCtx{&rng_, &transport_, &reliable_}; }
+  /// Runs `body(ctx)` as a single transaction outside any wave — on the
+  /// primary transport and rng() — then applies its write log.
+  template <typename Body>
+  auto run_alone(Body&& body);
   /// The (seed, index)-derived RNG stream for lifetime transaction `index`.
   util::Rng txn_stream(std::uint64_t index) const;
 
@@ -369,24 +369,14 @@ class HirepSystem {
   void send_report(TxnCtx& ctx, Peer& reporter, AgentEntry& entry,
                    const crypto::NodeId& subject_id, double outcome);
 
-  /// True when ctx runs sharded and the receiving agent lives on a foreign
-  /// shard — its state application must be queued, not run inline.
-  static bool defer_cross_shard(const TxnCtx& ctx, net::NodeIndex agent_ip) {
-    return ctx.report_outbox != nullptr &&
-           agent_ip % ctx.shard_count != ctx.home_shard;
-  }
-  /// Queues a delivered cross-shard report into ctx's outbox for the
-  /// barrier and counts it under hirep.engine.cross_shard_reports.
-  void queue_cross_shard(TxnCtx& ctx, DeferredReport dr);
-  /// The receiving agent's §3.5.3 path for one full-crypto report
-  /// envelope: deserialize, lookup_key under the agent mutex, verify
-  /// outside it, accept under it.  Malformed, unknown-reporter and
-  /// bad-signature reports are dropped.
-  void receive_report(AgentRuntime& rt, const util::Bytes& wire);
-  /// Replays one cross-shard report at the wave barrier: fast-crypto
-  /// reports apply subject+outcome under the agent mutex; full-crypto
-  /// reports go through receive_report.
-  void apply_deferred_report(const DeferredReport& dr);
+  /// Logs a registration unless the agent already lists `key` under `id`.
+  void log_registration(TxnCtx& ctx, net::NodeIndex agent_ip,
+                        const crypto::NodeId& id,
+                        const crypto::RsaPublicKey& key);
+  /// Applies one logged write.  A full-crypto report takes the receiving
+  /// agent's §3.5.3 path: deserialize, lookup_key, verify, accept;
+  /// malformed, unknown-reporter and bad-signature reports are dropped.
+  void apply_write(const AgentWrite& write);
 
   /// Fast-crypto §3.6 fan-out: all of one transaction's reports in one
   /// envelope batch through ctx.channel.

@@ -36,7 +36,7 @@ std::string type_and_default(const Params& defaults, const OptionSpec& spec) {
   std::ostringstream out;
   std::visit(
       [&](auto field) {
-        using T = std::remove_reference_t<decltype(defaults.*field)>;
+        using T = std::remove_cvref_t<decltype(defaults.*field)>;
         if constexpr (std::is_same_v<T, double>) {
           out << "float (" << defaults.*field << ")";
         } else if constexpr (std::is_same_v<T, std::string>) {

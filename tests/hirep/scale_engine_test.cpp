@@ -131,8 +131,8 @@ TEST(ScaleEngine, ChunkedBatchesMatchOneBatch) {
 
 TEST(ScaleEngine, SharedAgentsAcrossDistinctPairsStayConsistent) {
   // Tiny network: every peer trusts mostly the same agents, so waves
-  // exercise the shared-agent locking path (and the cross-shard report
-  // exchange) heavily.
+  // share agents between lanes and the barrier applies many writes per
+  // agent.
   const auto opts = fast_options(5, 32);
   const auto pairs = draw_pairs(5, opts.nodes, 64);
 

@@ -1,8 +1,9 @@
 // The sharded scale engine's acceptance bar (DESIGN.md §14): a K-shard run
 // must be byte-identical to the serial reference — records, message
-// totals, envelope counters, and protocol-level obs counters — across
-// many seeds and shard counts, including workloads where every
-// transaction crosses a shard boundary.
+// totals, envelope counters, protocol-level obs counters, and every
+// agent's key list and report tallies — across many seeds and shard
+// counts, including workloads where every transaction crosses a shard
+// boundary.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -120,9 +121,43 @@ void expect_records_identical(const std::vector<Record>& a,
   }
 }
 
+/// One agent's state as the determinism contract sees it: the size of its
+/// public-key list and, for every node id, how many reports it holds.
+struct AgentState {
+  net::NodeIndex ip = net::kInvalidNode;
+  std::size_t keys = 0;
+  std::vector<std::size_t> reports;
+};
+
+std::vector<AgentState> agent_states(HirepSystem& system) {
+  std::vector<AgentState> states;
+  for (std::size_t v = 0; v < system.node_count(); ++v) {
+    const auto ip = static_cast<net::NodeIndex>(v);
+    const core::ReputationAgent* agent = system.agent_at(ip);
+    if (agent == nullptr) continue;
+    AgentState state{ip, agent->key_list_size(), {}};
+    for (const auto& identity : system.identities()) {
+      state.reports.push_back(agent->report_count(identity.node_id()));
+    }
+    states.push_back(std::move(state));
+  }
+  return states;
+}
+
+void expect_agent_states_identical(const std::vector<AgentState>& a,
+                                   const std::vector<AgentState>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    SCOPED_TRACE("agent " + std::to_string(a[k].ip));
+    EXPECT_EQ(a[k].ip, b[k].ip);
+    EXPECT_EQ(a[k].keys, b[k].keys);
+    EXPECT_EQ(a[k].reports, b[k].reports);
+  }
+}
+
 /// Everything one engine run leaves behind that the determinism contract
 /// covers: the record stream, message totals, per-type envelope counters,
-/// and the protocol-level obs counters.
+/// the protocol-level obs counters, and every agent's state.
 struct RunTrace {
   std::vector<Record> records;
   std::uint64_t trust_messages = 0;
@@ -131,6 +166,9 @@ struct RunTrace {
   /// hirep.* counters except hirep.engine.* (cross-shard bookkeeping is
   /// engine-internal and legitimately differs between engines).
   std::vector<obs::Snapshot::CounterEntry> protocol_counters;
+  /// Catches a dropped or duplicated write that no record shows, e.g. a
+  /// report about a subject that is never queried again.
+  std::vector<AgentState> agents;
 };
 
 RunTrace run_trace(const HirepOptions& opts, std::span<const Pair> pairs,
@@ -153,6 +191,7 @@ RunTrace run_trace(const HirepOptions& opts, std::span<const Pair> pairs,
       trace.protocol_counters.push_back(std::move(entry));
     }
   }
+  trace.agents = agent_states(system);
   return trace;
 }
 
@@ -180,6 +219,7 @@ void expect_traces_identical(const RunTrace& serial, const RunTrace& other) {
               other.protocol_counters[i].value)
         << serial.protocol_counters[i].name;
   }
+  expect_agent_states_identical(serial.agents, other.agents);
 }
 
 TEST(ShardEngine, ShardedMatchesSerialAcrossSeedsAndShardCounts) {
@@ -202,8 +242,8 @@ TEST(ShardEngine, ShardedMatchesSerialAcrossSeedsAndShardCounts) {
 TEST(ShardEngine, EveryTransactionCrossingShardsStaysIdentical) {
   // Boundary stress: requestor and provider always live on different
   // shards (r % K != p % K for K = 4), and the tiny network guarantees
-  // most trusted agents are foreign too, so the barrier exchange carries
-  // real traffic instead of degenerating to the inline path.
+  // most trusted agents are foreign too, so most barrier writes cross a
+  // shard boundary.
   constexpr std::size_t kShards = 4;
   const auto opts = fast_options(23, 64);
   util::Rng rng(0xcafef00dULL);
@@ -222,6 +262,7 @@ TEST(ShardEngine, EveryTransactionCrossingShardsStaysIdentical) {
       sharded_system.run_transactions(pairs, Executor::sharded(kShards, 4));
   expect_records_identical(serial.records, sharded_records);
   EXPECT_EQ(serial.trust_messages, sharded_system.trust_message_total());
+  expect_agent_states_identical(serial.agents, agent_states(sharded_system));
   if constexpr (obs::kEnabled) {
     // The exchange actually exercised the cross-shard path.
     EXPECT_GT(obs::Registry::global()
@@ -237,13 +278,8 @@ TEST(ShardEngine, ShardedMatchesSerialFullCrypto) {
   opts.crypto = core::CryptoMode::kFull;
   opts.seed = 3;
   const auto pairs = draw_pairs(3, opts.nodes, 8);
-
-  HirepSystem serial(opts);
-  HirepSystem sharded(opts);
-  expect_records_identical(
-      serial.run_transactions(pairs, Executor::serial()),
-      sharded.run_transactions(pairs, Executor::sharded(3, 2)));
-  EXPECT_EQ(serial.trust_message_total(), sharded.trust_message_total());
+  expect_traces_identical(run_trace(opts, pairs, Executor::serial()),
+                          run_trace(opts, pairs, Executor::sharded(3, 2)));
 }
 
 TEST(ShardEngine, EqualWaveWindowsCompareAcrossEngines) {
@@ -302,6 +338,81 @@ TEST(ShardEngine, ShardedRequiresInstantDeliveryAndShardedMode) {
   EXPECT_THROW(instant.run_transactions(pairs, misplaced),
                std::invalid_argument);
 }
+
+class WriteLogOrder : public ::testing::TestWithParam<core::CryptoMode> {};
+
+TEST_P(WriteLogOrder, FirstContactRegistersBeforeItsReports) {
+  // A fresh system lists no keys, so every trust request below is a first
+  // contact.  Under full crypto, a report verifies only against the key
+  // its own transaction registered, so the write log must apply that
+  // registration first: in a multi-transaction wave (serial or sharded)
+  // and in single run_transaction calls alike.
+  HirepOptions opts = fast_options(7, 48);
+  opts.crypto = GetParam();
+  const auto pairs = forced_wave_pairs(7, opts.nodes, 6, 6);
+  ASSERT_EQ(prefix_wave_sizes(pairs), std::vector<std::size_t>{6});
+
+  enum class Run { kSerialWave, kShardedWave, kOneCallEach };
+  for (const Run run :
+       {Run::kSerialWave, Run::kShardedWave, Run::kOneCallEach}) {
+    SCOPED_TRACE("run " + std::to_string(static_cast<int>(run)));
+    HirepSystem system(opts);
+    for (std::size_t v = 0; v < system.node_count(); ++v) {
+      const auto* agent = system.agent_at(static_cast<net::NodeIndex>(v));
+      if (agent != nullptr) {
+        ASSERT_EQ(agent->key_list_size(), 0u);
+      }
+    }
+    // Each requestor's trusted agents as the transaction finds them.
+    std::vector<std::vector<net::NodeIndex>> contacted(pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto& entries = system.peer(pairs[i].first).agents().entries();
+      for (const auto& entry : entries) {
+        const auto ip = system.ip_of(entry.agent_id);
+        ASSERT_TRUE(ip.has_value());
+        ASSERT_TRUE(system.agent_online(*ip));
+        ASSERT_EQ(system.agent_at(*ip)->report_count(
+                      system.identities()[pairs[i].second].node_id()),
+                  0u);
+        contacted[i].push_back(*ip);
+      }
+    }
+
+    if (run == Run::kOneCallEach) {
+      for (const auto& [r, p] : pairs) system.run_transaction(r, p);
+    } else {
+      system.run_transactions(pairs, run == Run::kSerialWave
+                                         ? Executor::serial()
+                                         : Executor::sharded(3, 2));
+    }
+
+    std::size_t reports_checked = 0;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto& requestor = system.identities()[pairs[i].first];
+      const auto& provider_id = system.identities()[pairs[i].second].node_id();
+      for (const net::NodeIndex ip : contacted[i]) {
+        SCOPED_TRACE("txn " + std::to_string(i) + " agent " +
+                     std::to_string(ip));
+        const core::ReputationAgent& agent = *system.agent_at(ip);
+        EXPECT_EQ(agent.lookup_key(requestor.node_id()),
+                  requestor.signature_public());
+        // Poor agents drop evidence (§4.2.3); good ones keep every report.
+        if (system.truth().poor_evaluator(ip)) continue;
+        EXPECT_EQ(agent.report_count(provider_id), 1u);
+        ++reports_checked;
+      }
+    }
+    EXPECT_GT(reports_checked, pairs.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Crypto, WriteLogOrder,
+    ::testing::Values(core::CryptoMode::kFast, core::CryptoMode::kFull),
+    [](const ::testing::TestParamInfo<core::CryptoMode>& info) {
+      return info.param == core::CryptoMode::kFast ? std::string("fast")
+                                                   : std::string("full");
+    });
 
 }  // namespace
 }  // namespace hirep

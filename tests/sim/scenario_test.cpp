@@ -42,6 +42,13 @@ TEST(ScenarioTable, NamesAreUniqueAndHelpCoversThemAll) {
     EXPECT_NE(help.find(spec.name), std::string::npos)
         << spec.name << " missing from --help";
   }
+  // Each key is labelled with its Params member's type and default.
+  EXPECT_NE(help.find("  crypto=string (fast)"), std::string::npos) << help;
+  EXPECT_NE(help.find("  eviction_threshold=float (0.4)"), std::string::npos)
+      << help;
+  EXPECT_NE(help.find("  execution=string (serial)"), std::string::npos)
+      << help;
+  EXPECT_NE(help.find("  threads=int ("), std::string::npos) << help;
 }
 
 TEST(ScenarioTable, UnknownKeysAreLeftForTheUnusedScan) {
