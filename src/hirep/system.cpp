@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 #include "check/invariants.hpp"
 #include "crypto/verify_cache.hpp"
@@ -84,7 +85,6 @@ HirepSystem::HirepSystem(HirepOptions options)
 
   // Agent community: every bandwidth-qualified node claims agent-hood.
   agent_runtimes_.resize(options_.nodes);
-  agent_sq_.assign(options_.nodes, 1);
   agent_online_.assign(options_.nodes, 0);
   for (net::NodeIndex v : truth_.agent_capable_nodes()) {
     make_agent(v, &identities_[v]);
@@ -221,11 +221,22 @@ HirepSystem::AgentRef HirepSystem::resolve_agent(const crypto::NodeId& id) {
 template <typename Body>
 auto HirepSystem::run_alone(Body&& body) {
   std::vector<AgentWrite> writes;
-  TxnCtx ctx = legacy_ctx();
-  ctx.writes = &writes;
-  auto result = body(ctx);
-  for (const AgentWrite& write : writes) apply_write(write);
-  return result;
+  TxnCtx ctx{.rng = &rng_,
+             .transport = &transport_,
+             .channel = &reliable_,
+             .sq = ++sq_clock_,
+             .writes = &writes};
+  const auto apply_writes = [&] {
+    for (const AgentWrite& write : writes) apply_write(write);
+  };
+  if constexpr (std::is_void_v<std::invoke_result_t<Body&, TxnCtx&>>) {
+    body(ctx);
+    apply_writes();
+  } else {
+    auto result = body(ctx);
+    apply_writes();
+    return result;
+  }
 }
 
 std::vector<net::NodeIndex> HirepSystem::path_of(
@@ -277,22 +288,14 @@ std::vector<onion::RelayInfo> HirepSystem::pick_and_verify_relays(
 onion::Onion HirepSystem::issue_agent_onion(TxnCtx& ctx,
                                             net::NodeIndex agent_ip,
                                             AgentRuntime& rt) {
-  std::uint64_t sq;
-  if (ctx.reserved_sqs != nullptr &&
-      ctx.reserved_cursor < ctx.reserved_sqs->size()) {
-    // Reserved serially at wave formation; note_issued already ran there.
-    sq = (*ctx.reserved_sqs)[ctx.reserved_cursor++];
-  } else {
-    sq = agent_sq_[agent_ip]++;
-    router_.note_issued(identities_[agent_ip].node_id(), sq);
-  }
+  router_.note_issued(identities_[agent_ip].node_id(), ctx.sq);
   if (options_.crypto == CryptoMode::kFull) {
     return onion::build_onion(*ctx.rng, identities_[agent_ip], agent_ip,
-                              rt.relays, sq);
+                              rt.relays, ctx.sq);
   }
   onion::Onion onion;
   onion.entry = rt.relays.empty() ? agent_ip : rt.relays.back().ip;
-  onion.sq = sq;
+  onion.sq = ctx.sq;
   onion.relay_count = static_cast<std::uint32_t>(rt.relays.size());
   onion.owner_sig_key = identities_[agent_ip].signature_public();
   return onion;
@@ -320,8 +323,7 @@ std::vector<AgentEntry> HirepSystem::shareable_list(TxnCtx& ctx,
 }
 
 std::vector<AgentEntry> HirepSystem::shareable_list(net::NodeIndex v) {
-  TxnCtx ctx = legacy_ctx();
-  return shareable_list(ctx, v);
+  return run_alone([&](TxnCtx& ctx) { return shareable_list(ctx, v); });
 }
 
 std::size_t HirepSystem::discover_agents(TxnCtx& ctx, net::NodeIndex peer_ip) {
@@ -373,8 +375,8 @@ std::size_t HirepSystem::discover_agents(TxnCtx& ctx, net::NodeIndex peer_ip) {
 }
 
 std::size_t HirepSystem::discover_agents(net::NodeIndex peer_ip) {
-  TxnCtx ctx = legacy_ctx();
-  return discover_agents(ctx, peer_ip);
+  return run_alone(
+      [&](TxnCtx& ctx) { return discover_agents(ctx, peer_ip); });
 }
 
 void HirepSystem::refill(TxnCtx& ctx, net::NodeIndex peer_ip) {
@@ -426,8 +428,7 @@ void HirepSystem::refill(TxnCtx& ctx, net::NodeIndex peer_ip) {
 }
 
 void HirepSystem::refill(net::NodeIndex peer_ip) {
-  TxnCtx ctx = legacy_ctx();
-  refill(ctx, peer_ip);
+  run_alone([&](TxnCtx& ctx) { refill(ctx, peer_ip); });
 }
 
 net::NodeIndex HirepSystem::join_peer() {
@@ -455,7 +456,6 @@ net::NodeIndex HirepSystem::join_peer() {
   peers_.emplace_back(&identities_.back(), v, list_params_from(options_));
   peers_.back().set_relays(pick_and_verify_relays(v));
   agent_runtimes_.resize(peers_.size());
-  agent_sq_.resize(peers_.size(), 1);
   agent_online_.resize(peers_.size(), 0);
   if (truth_.agent_capable(v)) {
     make_agent(v, &identities_.back());
@@ -477,7 +477,6 @@ crypto::NodeId HirepSystem::rotate_peer_key(net::NodeIndex v) {
   // "New public keys signed by current private key can be sent out using
   // the most recently received onions" (§3.5): the announcement travels to
   // every trusted agent over the freshest Onion_e the peer holds.
-  TxnCtx ctx = legacy_ctx();
   Peer& p = peers_.at(v);
   if (options_.crypto == CryptoMode::kFast) {
     // All announcements of one rotation ride in one envelope batch.
@@ -500,17 +499,19 @@ crypto::NodeId HirepSystem::rotate_peer_key(net::NodeIndex v) {
     return identity.node_id();
   }
   const util::Bytes wire = announcement.serialize();
-  for (auto& entry : p.agents().entries()) {
-    const AgentRef ref = resolve_agent(entry.agent_id);
-    if (!ref || !agent_online_[ref.ip]) continue;
-    const auto routed = route_envelope(ctx, v, entry.onion, wire,
-                                       net::EnvelopeType::kKeyRotation);
-    if (!routed.delivered) continue;
-    const auto parsed =
-        crypto::Identity::RotationAnnouncement::deserialize(routed.payload);
-    if (!parsed) continue;
-    ref.rt->agent->migrate_key(old_id, *parsed);
-  }
+  run_alone([&](TxnCtx& ctx) {
+    for (auto& entry : p.agents().entries()) {
+      const AgentRef ref = resolve_agent(entry.agent_id);
+      if (!ref || !agent_online_[ref.ip]) continue;
+      const auto routed = route_envelope(ctx, v, entry.onion, wire,
+                                         net::EnvelopeType::kKeyRotation);
+      if (!routed.delivered) continue;
+      const auto parsed =
+          crypto::Identity::RotationAnnouncement::deserialize(routed.payload);
+      if (!parsed) continue;
+      ref.rt->agent->migrate_key(old_id, *parsed);
+    }
+  });
   return identity.node_id();
 }
 
@@ -709,8 +710,7 @@ void HirepSystem::send_report(TxnCtx& ctx, Peer& reporter, AgentEntry& entry,
   auto routed = route_envelope(ctx, reporter.ip(), entry.onion,
                                report.serialize(), net::EnvelopeType::kReport);
   if (!routed.delivered) return;
-  ctx.writes->push_back({.txn = ctx.txn_index,
-                         .agent_ip = ref.ip,
+  ctx.writes->push_back({.agent_ip = ref.ip,
                          .kind = AgentWrite::Kind::kWireReport,
                          .wire = std::move(routed.payload)});
 }
@@ -719,8 +719,7 @@ void HirepSystem::log_registration(TxnCtx& ctx, net::NodeIndex agent_ip,
                                    const crypto::NodeId& id,
                                    const crypto::RsaPublicKey& key) {
   if (agent_runtimes_[agent_ip].agent->lists_key(id, key)) return;
-  ctx.writes->push_back({.txn = ctx.txn_index,
-                         .agent_ip = agent_ip,
+  ctx.writes->push_back({.agent_ip = agent_ip,
                          .kind = AgentWrite::Kind::kRegisterKey,
                          .id = id,
                          .key = key});
@@ -768,8 +767,7 @@ void HirepSystem::report_batch(TxnCtx& ctx, Peer& reporter,
   for (std::size_t i = 0; i < routed.size(); ++i) {
     ctx.trust_messages += routed[i].messages;
     if (!routed[i].applied) continue;  // report lost: agent never learns
-    ctx.writes->push_back({.txn = ctx.txn_index,
-                           .agent_ip = targets[i],
+    ctx.writes->push_back({.agent_ip = targets[i],
                            .id = subject_id,
                            .outcome = outcome});
   }
@@ -891,8 +889,7 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
     const Executor& exec) {
   // Judge the policy actually installed, not just the configured kind: a
   // chaos wrapper (sim::ChaosDelivery) swapped in over an instant config
-  // still drops and delays, so it forfeits both concurrent execution and
-  // the up-front sq reservation below.
+  // still drops and delays, so it forfeits concurrent execution.
   const bool instant =
       options_.delivery.policy == net::DeliveryPolicyKind::kInstant &&
       std::string_view(transport_.policy().name()) == "instant";
@@ -940,10 +937,10 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
   std::vector<std::uint8_t> wants_refill(pairs.size(), 0);
   std::vector<std::uint8_t> busy(peers_.size(), 0);
   std::vector<std::size_t> wave;
-  std::vector<std::vector<std::uint64_t>> reserved;
-  // Per-slice scratch, reused across waves (DESIGN.md §14).
+  // Per-slice and per-member scratch, reused across waves (DESIGN.md §14):
+  // wave member j logs its agent writes into write_slots[j].
   std::vector<std::vector<std::size_t>> slots;
-  std::vector<std::vector<AgentWrite>> logs;
+  std::vector<std::vector<AgentWrite>> write_slots;
   std::vector<AgentWrite> writes;
   std::vector<std::uint32_t> write_order;
   std::vector<net::ReceiptGroup> write_groups;
@@ -969,24 +966,12 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
       wave.push_back(stop);
     }
 
-    // Sequence reservation: under instant delivery every online trusted
-    // agent of a requestor issues exactly one fresh onion per exchange, so
-    // the sq draws are known up front.  Claiming them serially here, in
-    // transaction order, keeps each agent's sq stream identical to a
-    // serial run no matter how the wave is scheduled.
-    reserved.assign(wave.size(), {});
-    if (instant) {
-      for (std::size_t j = 0; j < wave.size(); ++j) {
-        Peer& rp = peers_[pairs[wave[j]].first];
-        for (const AgentEntry& entry : rp.agents().entries()) {
-          const AgentRef ref = resolve_agent(entry.agent_id);
-          if (!ref || !agent_online_[ref.ip]) continue;
-          const std::uint64_t sq = agent_sq_[ref.ip]++;
-          router_.note_issued(entry.agent_id, sq);
-          reserved[j].push_back(sq);
-        }
-      }
-    }
+    // One sq-clock tick for the whole wave.  A requestor appears once per
+    // wave and lists each agent once, so no holder sees two onions of one
+    // agent inside it: equal sqs there are harmless, and the next serial
+    // point ticks past them however the wave was scheduled.
+    const std::uint64_t wave_sq = ++sq_clock_;
+    if (write_slots.size() < wave.size()) write_slots.resize(wave.size());
 
     // Slices: a transaction's home slice is its requestor's
     // `node % slices`, and ascending j keeps each slice in transaction
@@ -997,7 +982,6 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
     const bool fan_out = sharded && wave.size() > 1;
     const std::size_t slices = fan_out ? shard_count : 1;
     slots.assign(slices, {});
-    logs.resize(slices);
     for (std::size_t j = 0; j < wave.size(); ++j) {
       slots[pairs[wave[j]].first % slices].push_back(j);
     }
@@ -1017,10 +1001,9 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
         ctx.rng = &rng;
         ctx.transport = fan_out ? lanes_[s].get() : &transport_;
         ctx.channel = fan_out ? lane_channels_[s].get() : &reliable_;
-        if (instant) ctx.reserved_sqs = &reserved[j];
+        ctx.sq = wave_sq;
         ctx.defer_refill = true;
-        ctx.writes = &logs[s];
-        ctx.txn_index = txn_counter_ + i;
+        ctx.writes = &write_slots[j];
         const auto [r, p] = pairs[i];
         const QueryResult query = query_trust(ctx, r, p);
         records[i] = complete_transaction(ctx, r, p, query);
@@ -1029,21 +1012,22 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
       }
     });
 
-    // Barrier step 1 — apply the wave's agent writes: merge the slice
-    // logs, restore serial transaction order (the stable sort keeps one
-    // transaction's writes in send order, registrations before the reports
+    // Barrier step 1 — apply the wave's agent writes: flatten the write
+    // slots in j order, which is serial transaction order with each
+    // transaction's writes in send order (registrations before the reports
     // that need them), then group by destination shard through the same
     // grouped-visit engine the envelope batches drain with.  Groups touch
     // disjoint agents, so they apply in parallel, each in serial order.
     writes.clear();
     std::uint64_t cross_shard = 0;
-    for (std::size_t s = 0; s < slices; ++s) {
-      for (auto& write : logs[s]) {
+    for (std::size_t j = 0; j < wave.size(); ++j) {
+      const std::size_t home = pairs[wave[j]].first % slices;
+      for (AgentWrite& write : write_slots[j]) {
         cross_shard += write.kind != AgentWrite::Kind::kRegisterKey &&
-                       write.agent_ip % slices != s;
+                       write.agent_ip % slices != home;
         writes.push_back(std::move(write));
       }
-      logs[s].clear();
+      write_slots[j].clear();
     }
     if constexpr (obs::kEnabled) {
       if (cross_shard != 0) {
@@ -1052,10 +1036,6 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
         cross_shard_reports.add(cross_shard);
       }
     }
-    std::stable_sort(writes.begin(), writes.end(),
-                     [](const AgentWrite& a, const AgentWrite& b) {
-                       return a.txn < b.txn;
-                     });
     write_groups.clear();
     net::visit_groups(
         writes.size(), [](std::uint32_t) { return true; },
@@ -1095,10 +1075,10 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
     for (std::size_t j = 0; j < wave.size(); ++j) {
       const std::size_t i = wave[j];
       if (!wants_refill[i]) continue;
-      TxnCtx ctx;
-      ctx.rng = &*maintenance_rng_;
-      ctx.transport = &transport_;
-      ctx.channel = &reliable_;
+      TxnCtx ctx{.rng = &*maintenance_rng_,
+                 .transport = &transport_,
+                 .channel = &reliable_,
+                 .sq = ++sq_clock_};
       refill(ctx, pairs[i].first);
     }
     next = stop;

@@ -292,7 +292,6 @@ class HirepSystem {
       kReport,       ///< fast crypto: record `outcome` about subject `id`
       kWireReport,   ///< full crypto: verify, then accept, the report `wire`
     };
-    std::uint64_t txn = 0;  ///< lifetime transaction index
     net::NodeIndex agent_ip = net::kInvalidNode;
     Kind kind = Kind::kReport;
     crypto::NodeId id{};
@@ -302,8 +301,9 @@ class HirepSystem {
   };
 
   /// Everything one in-flight transaction threads through the protocol
-  /// stack: its RNG stream, the transport lane it sends on, pre-reserved
-  /// onion sequence numbers, and its own message/maintenance accounting.
+  /// stack: its RNG stream, the transport lane it sends on, the onion
+  /// sequence number its agents issue under, and its own
+  /// message/maintenance accounting.
   struct TxnCtx {
     util::Rng* rng = nullptr;
     net::Transport* transport = nullptr;
@@ -311,10 +311,9 @@ class HirepSystem {
     /// reports, and §3.4.3 probes (discovery walks and key handshakes stay
     /// on the bare transport — they are not request/response exchanges).
     net::ReliableChannel* channel = nullptr;
-    /// Onion sequence numbers reserved serially at wave formation (instant
-    /// delivery only); consumed in issue order by issue_agent_onion.
-    const std::vector<std::uint64_t>* reserved_sqs = nullptr;
-    std::size_t reserved_cursor = 0;
+    /// The sq of every agent onion issued under this context: one tick of
+    /// sq_clock_, taken at the serial point that made the context.
+    std::uint64_t sq = 0;
     /// Transmissions under kTrustRequest/kTrustResponse/kReport kinds —
     /// the same buckets trust_message_total() sums globally.
     std::uint64_t trust_messages = 0;
@@ -324,11 +323,10 @@ class HirepSystem {
     bool wants_refill = false;
     /// This transaction's agent writes, appended in send order.
     std::vector<AgentWrite>* writes = nullptr;
-    std::uint64_t txn_index = 0;  ///< lifetime index, for barrier ordering
   };
-  TxnCtx legacy_ctx() noexcept { return TxnCtx{&rng_, &transport_, &reliable_}; }
   /// Runs `body(ctx)` as a single transaction outside any wave — on the
-  /// primary transport and rng() — then applies its write log.
+  /// primary transport and rng(), under its own sq-clock tick — then
+  /// applies its write log.
   template <typename Body>
   auto run_alone(Body&& body);
   /// The (seed, index)-derived RNG stream for lifetime transaction `index`.
@@ -410,16 +408,20 @@ class HirepSystem {
   /// Flat agent storage, one slot per node (agent == nullptr for non-agent
   /// nodes): index-based hot-path lookups instead of map pointer chasing.
   std::vector<AgentRuntime> agent_runtimes_;
-  /// SoA per-node engine state, split out of AgentRuntime so the scale
-  /// engine's hottest scans (liveness checks, sq reservation) touch two
-  /// dense arrays instead of striding 100+-byte runtime records.
-  std::vector<std::uint64_t> agent_sq_;    ///< next onion sequence number
+  /// Per-node liveness, split out of AgentRuntime so the engine's hottest
+  /// check touches one dense array instead of striding 100+-byte runtime
+  /// records.
   std::vector<std::uint8_t> agent_online_; ///< 1 = live agent (0 otherwise)
   std::size_t agent_count_ = 0;
   /// Reverse nodeId -> index mapping; updated on join/rotation, never
   /// iterated.
   std::unordered_map<crypto::NodeId, net::NodeIndex, crypto::NodeIdHash>
       id_to_ip_;
+
+  /// Onion sequence clock (§3.3 only needs sq non-decreasing per owner).
+  /// It ticks at serial points only: once per wave, shared by all its
+  /// transactions, once per run_alone call and once per deferred refill.
+  std::uint64_t sq_clock_ = 0;
 
   // -- scale-engine state ---------------------------------------------------
   std::uint64_t txn_counter_ = 0;  ///< lifetime transactions batched so far

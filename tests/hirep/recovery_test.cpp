@@ -4,6 +4,8 @@
 // live-rating quorum.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -129,6 +131,59 @@ TEST(Recovery, QuarantinedAgentIsNeverContacted) {
   EXPECT_EQ(after - before, listed - 1);
   EXPECT_EQ(result.ratings.size(), listed - 1);
 }
+
+class QuarantineSkip : public ::testing::TestWithParam<CryptoMode> {};
+
+TEST_P(QuarantineSkip, SkippedAgentLeavesOtherAgentsSqsAlone) {
+  // Skipping a quarantined agent must not shift the onion sqs the other
+  // listed agents issue: the same transaction as a one-pair batch and as
+  // a run_transaction call leaves every held onion at the same sq, and
+  // the §3.3 monotonicity checks stay silent.
+  HirepOptions o = small_options();
+  o.crypto = GetParam();
+  HirepSystem batched(o);
+  HirepSystem single(o);
+  net::NodeIndex r = net::kInvalidNode;
+  for (net::NodeIndex v = 0; v < batched.node_count(); ++v) {
+    if (batched.peer(v).agents().size() >= 3) {
+      r = v;
+      break;
+    }
+  }
+  ASSERT_NE(r, net::kInvalidNode);
+  const auto first =
+      *batched.ip_of(batched.peer(r).agents().entries().front().agent_id);
+  ASSERT_TRUE(batched.agent_online(first));
+  batched.quarantine_agent(first);  // agent itself stays online
+  single.quarantine_agent(first);
+  const auto p = subject_other_than(batched, r, first);
+
+  const std::size_t violations = check::violation_count();
+  const std::vector<std::pair<net::NodeIndex, net::NodeIndex>> pairs{{r, p}};
+  batched.run_transactions(pairs);
+  single.run_transaction(r, p);
+  EXPECT_EQ(check::violation_count(), violations);
+
+  for (net::NodeIndex v = 0; v < batched.node_count(); ++v) {
+    const auto& a = batched.peer(v).agents().entries();
+    const auto& b = single.peer(v).agents().entries();
+    ASSERT_EQ(a.size(), b.size()) << "peer " << v;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      SCOPED_TRACE("peer " + std::to_string(v) + " entry " +
+                   std::to_string(k));
+      EXPECT_EQ(a[k].agent_id, b[k].agent_id);
+      EXPECT_EQ(a[k].onion.sq, b[k].onion.sq);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Crypto, QuarantineSkip,
+    ::testing::Values(CryptoMode::kFast, CryptoMode::kFull),
+    [](const ::testing::TestParamInfo<CryptoMode>& info) {
+      return info.param == CryptoMode::kFast ? std::string("fast")
+                                             : std::string("full");
+    });
 
 TEST(Recovery, QuarantineSurvivesRestartUntilProbed) {
   HirepOptions o = small_options();

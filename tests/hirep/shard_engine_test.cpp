@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/check.hpp"
 #include "hirep/system.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -157,7 +158,8 @@ void expect_agent_states_identical(const std::vector<AgentState>& a,
 
 /// Everything one engine run leaves behind that the determinism contract
 /// covers: the record stream, message totals, per-type envelope counters,
-/// the protocol-level obs counters, and every agent's state.
+/// the protocol-level obs counters, every agent's state, every held onion
+/// sq, and the invariant violations the run raised.
 struct RunTrace {
   std::vector<Record> records;
   std::uint64_t trust_messages = 0;
@@ -169,14 +171,36 @@ struct RunTrace {
   /// Catches a dropped or duplicated write that no record shows, e.g. a
   /// report about a subject that is never queried again.
   std::vector<AgentState> agents;
+  /// Each peer's held onion sqs, entry by entry.
+  std::vector<std::vector<std::uint64_t>> held_sqs;
+  /// Growth of the global check::violation_count() over the run (a
+  /// ScopedCapture is not safe under concurrent slices).
+  std::size_t violations = 0;
 };
 
+/// Quarantines the first listed agent of every `every`-th requestor in
+/// `pairs`.  The agents stay online, so exchanges skip them mid-list.
+void quarantine_listed_agents(HirepSystem& system, std::span<const Pair> pairs,
+                              std::size_t every) {
+  for (std::size_t i = 0; i < pairs.size(); i += every) {
+    const auto& entries = system.peer(pairs[i].first).agents().entries();
+    if (entries.empty()) continue;
+    const auto ip = system.ip_of(entries.front().agent_id);
+    if (ip && system.agent_online(*ip)) system.quarantine_agent(*ip);
+  }
+}
+
 RunTrace run_trace(const HirepOptions& opts, std::span<const Pair> pairs,
-                   const Executor& exec) {
+                   const Executor& exec, std::size_t quarantine_every = 0) {
   if constexpr (obs::kEnabled) obs::Registry::global().reset();
   HirepSystem system(opts);
+  if (quarantine_every != 0) {
+    quarantine_listed_agents(system, pairs, quarantine_every);
+  }
   RunTrace trace;
+  const std::size_t violations_before = check::violation_count();
   trace.records = system.run_transactions(pairs, exec);
+  trace.violations = check::violation_count() - violations_before;
   trace.trust_messages = system.trust_message_total();
   trace.overlay_total = system.overlay().metrics().total();
   const auto count = static_cast<std::size_t>(net::EnvelopeType::kCount);
@@ -192,6 +216,14 @@ RunTrace run_trace(const HirepOptions& opts, std::span<const Pair> pairs,
     }
   }
   trace.agents = agent_states(system);
+  for (std::size_t v = 0; v < system.node_count(); ++v) {
+    std::vector<std::uint64_t> sqs;
+    for (const auto& entry :
+         system.peer(static_cast<net::NodeIndex>(v)).agents().entries()) {
+      sqs.push_back(entry.onion.sq);
+    }
+    trace.held_sqs.push_back(std::move(sqs));
+  }
   return trace;
 }
 
@@ -220,6 +252,9 @@ void expect_traces_identical(const RunTrace& serial, const RunTrace& other) {
         << serial.protocol_counters[i].name;
   }
   expect_agent_states_identical(serial.agents, other.agents);
+  EXPECT_EQ(serial.held_sqs, other.held_sqs);
+  EXPECT_EQ(serial.violations, 0u);
+  EXPECT_EQ(other.violations, 0u);
 }
 
 TEST(ShardEngine, ShardedMatchesSerialAcrossSeedsAndShardCounts) {
@@ -273,13 +308,15 @@ TEST(ShardEngine, EveryTransactionCrossingShardsStaysIdentical) {
 }
 
 TEST(ShardEngine, ShardedMatchesSerialFullCrypto) {
+  // Every other requestor finds its first listed agent quarantined, so
+  // the exchanges skip an online agent before the others issue onions.
   HirepOptions opts;
   opts.nodes = 48;
   opts.crypto = core::CryptoMode::kFull;
   opts.seed = 3;
   const auto pairs = draw_pairs(3, opts.nodes, 8);
-  expect_traces_identical(run_trace(opts, pairs, Executor::serial()),
-                          run_trace(opts, pairs, Executor::sharded(3, 2)));
+  expect_traces_identical(run_trace(opts, pairs, Executor::serial(), 2),
+                          run_trace(opts, pairs, Executor::sharded(3, 2), 2));
 }
 
 TEST(ShardEngine, EqualWaveWindowsCompareAcrossEngines) {
