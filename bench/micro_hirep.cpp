@@ -1,6 +1,7 @@
 // Micro-benchmarks for the hiREP core: bootstrap, transactions in both
-// crypto modes, trust queries, NodeId-keyed lookups, agent ranking, and
-// EigenTrust.
+// crypto modes, trust queries, NodeId-keyed lookups, agent ranking,
+// EigenTrust, and the fault path (chaos churn ticks, the at-most-once
+// ledger).
 #include <benchmark/benchmark.h>
 
 #include <deque>
@@ -9,6 +10,8 @@
 #include <vector>
 
 #include "hirep/system.hpp"
+#include "net/reliable.hpp"
+#include "sim/chaos.hpp"
 #include "trust/eigentrust.hpp"
 
 namespace {
@@ -135,30 +138,72 @@ void BM_AgentRegisterKnownKey(benchmark::State& state) {
 }
 BENCHMARK(BM_AgentRegisterKnownKey);
 
-void BM_IpOf(benchmark::State& state) {
-  const auto nodes = static_cast<std::size_t>(state.range(0));
-  // The harness may call this function more than once per argument; build
-  // each system once.
+/// One fast-crypto system per size, built on first use: the harness may
+/// call a benchmark more than once per argument, and bootstrap dominates.
+core::HirepSystem& cached_system(std::size_t nodes) {
   static std::map<std::size_t, std::unique_ptr<core::HirepSystem>> systems;
   auto& system = systems[nodes];
   if (!system) {
     system = std::make_unique<core::HirepSystem>(
         options(nodes, core::CryptoMode::kFast));
   }
+  return *system;
+}
+
+void BM_IpOf(benchmark::State& state) {
+  core::HirepSystem& system =
+      cached_system(static_cast<std::size_t>(state.range(0)));
   std::vector<crypto::NodeId> ids;
-  ids.reserve(nodes);
-  for (const auto& identity : system->identities()) {
+  ids.reserve(system.node_count());
+  for (const auto& identity : system.identities()) {
     ids.push_back(identity.node_id());
   }
   util::Rng rng(5);
   rng.shuffle(ids);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(system->ip_of(ids[i]));
+    benchmark::DoNotOptimize(system.ip_of(ids[i]));
     if (++i == ids.size()) i = 0;
   }
 }
 BENCHMARK(BM_IpOf)->ArgName("nodes")->Arg(2000)->Arg(20000);
+
+// One tick of the chaos schedule at churn_faulty_2k's churn rates: a churn
+// draw per live node plus the restarts that fall due.  The engine downs
+// agents of the cached system and leaves them down; ip_of does not care.
+void BM_ChaosStep(benchmark::State& state) {
+  core::HirepSystem& system =
+      cached_system(static_cast<std::size_t>(state.range(0)));
+  sim::ChaosParams params;
+  params.seed = 7;
+  params.crash_rate = 0.0002;
+  params.mean_downtime = 100;
+  sim::ChaosEngine engine(&system, params, /*master_seed=*/1);
+  std::uint64_t tick = 0;
+  for (auto _ : state) engine.advance_to(++tick);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChaosStep)->ArgName("nodes")->Arg(2000)->Arg(20000);
+
+// The at-most-once ledger as a retrying channel drives it: sequential
+// request ids, one in eight a retransmission of one of the last 16, so the
+// current generation fills and rotates every 4096 new ids.
+void BM_DedupFirstApplication(benchmark::State& state) {
+  util::Rng rng(6);
+  std::vector<std::uint64_t> ids(1 << 16);
+  std::uint64_t next = 0;
+  for (auto& id : ids) {
+    id = next > 16 && rng.below(8) == 0 ? next - 1 - rng.below(16) : next++;
+  }
+  net::DedupTable table;
+  double now = 0.0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.first_application(ids[i], now += 0.5));
+    if (++i == ids.size()) i = 0;
+  }
+}
+BENCHMARK(BM_DedupFirstApplication);
 
 void BM_RankAndSelect(benchmark::State& state) {
   util::Rng rng(2);

@@ -935,7 +935,7 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
 
   std::vector<TransactionRecord> records(pairs.size());
   std::vector<std::uint8_t> wants_refill(pairs.size(), 0);
-  std::vector<std::uint8_t> busy(peers_.size(), 0);
+  if (wave_busy_.size() < peers_.size()) wave_busy_.resize(peers_.size(), 0);
   std::vector<std::size_t> wave;
   // Per-slice and per-member scratch, reused across waves (DESIGN.md §14):
   // wave member j logs its agent writes into write_slots[j].
@@ -957,13 +957,15 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
     // so splitting a batch at any boundary yields byte-identical records
     // (checkpointed experiments compose).
     wave.clear();
-    std::fill(busy.begin(), busy.end(), std::uint8_t{0});
     std::size_t stop = next;
     for (; stop < pairs.size(); ++stop) {
       const auto [r, p] = pairs[stop];
-      if (busy[r] || busy[p]) break;
-      busy[r] = busy[p] = 1;
+      if (wave_busy_[r] || wave_busy_[p]) break;
+      wave_busy_[r] = wave_busy_[p] = 1;
       wave.push_back(stop);
+    }
+    for (const std::size_t i : wave) {
+      wave_busy_[pairs[i].first] = wave_busy_[pairs[i].second] = 0;
     }
 
     // One sq-clock tick for the whole wave.  A requestor appears once per

@@ -425,6 +425,10 @@ class HirepSystem {
 
   // -- scale-engine state ---------------------------------------------------
   std::uint64_t txn_counter_ = 0;  ///< lifetime transactions batched so far
+  /// Wave-formation marks, one per peer: all zero between waves, because
+  /// each wave clears exactly the marks it set, so a call costs O(batch),
+  /// not O(peers).
+  std::vector<std::uint8_t> wave_busy_;
   /// Stream for deferred §3.4.3 maintenance (separate salt, so refills do
   /// not perturb any transaction's stream); created on first batch.
   std::optional<util::Rng> maintenance_rng_;

@@ -1,5 +1,7 @@
 #include "net/reliable.hpp"
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
 
 namespace hirep::net {
@@ -36,10 +38,45 @@ double backoff_wait(const ReliablePolicy& policy, std::uint32_t attempt,
   return wait;
 }
 
+/// Fibonacci hashing onto a power-of-two table: request ids are
+/// sequential, and the multiply spreads consecutive ids across the slots.
+std::size_t slot_of(std::uint64_t id, std::size_t mask) noexcept {
+  return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ULL) >> 32) & mask;
+}
+
 }  // namespace
+
+bool DedupTable::Generation::contains(std::uint64_t id) const noexcept {
+  if (id == 0) return has_zero;
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = slot_of(id, mask);; i = (i + 1) & mask) {
+    if (slots[i] == id) return true;
+    if (slots[i] == 0) return false;
+  }
+}
+
+void DedupTable::Generation::insert(std::uint64_t id) noexcept {
+  ++size;
+  if (id == 0) {
+    has_zero = true;
+    return;
+  }
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = slot_of(id, mask);
+  while (slots[i] != 0) i = (i + 1) & mask;
+  slots[i] = id;
+}
+
+void DedupTable::Generation::clear() noexcept {
+  std::fill(slots.begin(), slots.end(), 0);
+  size = 0;
+  has_zero = false;
+}
 
 bool DedupTable::first_application(std::uint64_t id, double now_ms) {
   util::MutexLock lock(mu_);
+  // maybe_rotate empties a full generation first, so one never holds more
+  // than capacity_ ids and its probe chains always reach an empty slot.
   maybe_rotate(now_ms);
   if (current_.contains(id)) return false;
   if (prev_.contains(id)) {
@@ -53,11 +90,10 @@ bool DedupTable::first_application(std::uint64_t id, double now_ms) {
 }
 
 void DedupTable::maybe_rotate(double now_ms) {
-  const bool full = current_.size() >= capacity_;
-  const bool stale =
-      !current_.empty() && now_ms - window_start_ >= window_ms_;
+  const bool full = current_.size >= capacity_;
+  const bool stale = current_.size != 0 && now_ms - window_start_ >= window_ms_;
   if (full || stale) {
-    prev_ = std::move(current_);
+    std::swap(prev_, current_);
     current_.clear();
     window_start_ = now_ms;
   }

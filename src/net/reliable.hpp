@@ -19,9 +19,9 @@
 // second application.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "net/transport.hpp"
@@ -41,11 +41,19 @@ namespace hirep::net {
 /// exceeds 2 * capacity ids regardless of run length.  An id seen again is
 /// refreshed into the current generation, so a request that is actively
 /// being retried cannot age out between its own attempts.
+///
+/// Each generation is one flat open-addressed array of bit_ceil(2 *
+/// capacity) slots, so its load stays at most 1/2: the ledger holds
+/// 2 * 8 * bit_ceil(2 * capacity) bytes, 128 KiB at the default capacity,
+/// and a lookup or insert allocates nothing.
 class DedupTable {
  public:
   explicit DedupTable(std::size_t capacity = 4096,
                       double window_ms = 60'000.0)
-      : capacity_(capacity == 0 ? 1 : capacity), window_ms_(window_ms) {}
+      : capacity_(capacity == 0 ? 1 : capacity),
+        window_ms_(window_ms),
+        current_(std::bit_ceil(2 * capacity_)),
+        prev_(std::bit_ceil(2 * capacity_)) {}
 
   /// True exactly once per id: the first call records the id and returns
   /// true; later calls (within the retention bound) return false.
@@ -53,12 +61,27 @@ class DedupTable {
 
   std::size_t size() const {
     util::MutexLock lock(mu_);
-    return current_.size() + prev_.size();
+    return current_.size + prev_.size;
   }
   /// Hard bound on size(): two generations of `capacity` ids each.
   std::size_t capacity() const noexcept { return 2 * capacity_; }
 
  private:
+  /// One generation: a linear-probing id set that is only ever cleared
+  /// whole.  Slot value 0 marks an empty slot, so id 0 lives in a flag.
+  struct Generation {
+    explicit Generation(std::size_t slot_count) : slots(slot_count, 0) {}
+
+    std::vector<std::uint64_t> slots;  ///< power-of-two size
+    std::size_t size = 0;
+    bool has_zero = false;
+
+    bool contains(std::uint64_t id) const noexcept;
+    /// Inserts an id not yet present.
+    void insert(std::uint64_t id) noexcept;
+    void clear() noexcept;
+  };
+
   void maybe_rotate(double now_ms) HIREP_REQUIRES(mu_);
 
   std::size_t capacity_;
@@ -68,8 +91,8 @@ class DedupTable {
   /// and gives the thread-safety analysis a capability to check against.
   mutable util::Mutex mu_;
   double window_start_ HIREP_GUARDED_BY(mu_) = 0.0;
-  std::unordered_set<std::uint64_t> current_ HIREP_GUARDED_BY(mu_);
-  std::unordered_set<std::uint64_t> prev_ HIREP_GUARDED_BY(mu_);
+  Generation current_ HIREP_GUARDED_BY(mu_);
+  Generation prev_ HIREP_GUARDED_BY(mu_);
 };
 
 /// Retry discipline for one channel.  Defaults are the zero-retry identity

@@ -328,8 +328,12 @@ void Transport::transmit_delayed(const Envelope& envelope,
 }
 
 void Transport::flush(const Acc& acc) {
+  // Every envelope a send touches counts as sent, so a type with no sends
+  // carries an all-zero delta and is skipped.
   for (std::size_t i = 0; i < acc.env.size(); ++i) {
-    envelopes_.add(static_cast<EnvelopeType>(i), acc.env[i]);
+    if (acc.env[i].sent != 0) {
+      envelopes_.add(static_cast<EnvelopeType>(i), acc.env[i]);
+    }
   }
   for (std::size_t k = 0; k < acc.traffic.size(); ++k) {
     if (acc.traffic[k] != 0) {

@@ -94,9 +94,13 @@ void ChaosEngine::advance_to(std::uint64_t tick) {
 
 void ChaosEngine::step(std::uint64_t tick) {
   // 1. Pending churn restarts come first so a node's downtime is exactly
-  //    the drawn span regardless of what else fires this tick.
-  for (net::NodeIndex v = 0; v < restart_tick_.size(); ++v) {
-    if (restart_tick_[v] != 0 && restart_tick_[v] <= tick) revive(v);
+  //    the drawn span regardless of what else fires this tick.  Every tick
+  //    is stepped and a restart lands at least one tick out, so all due
+  //    entries carry this tick and pop in ascending node order.
+  while (!restarts_.empty() && restarts_.top().first <= tick) {
+    const auto [at, v] = restarts_.top();
+    restarts_.pop();
+    if (restart_tick_[v] == at) revive(v);  // else stale: revived already
   }
   // 2. Scripted mass-crash of reputation agents.
   if (params_.crash_at != 0 && tick == params_.crash_at &&
@@ -142,19 +146,31 @@ void ChaosEngine::step(std::uint64_t tick) {
   burst_on_ = params_.burst_at != 0 && tick >= params_.burst_at &&
               (params_.burst_until == 0 || tick < params_.burst_until);
   // 6. Random churn: each live node crashes with crash_rate and comes back
-  //    after an exponential downtime (at least one tick).
+  //    after an exponential downtime (at least one tick).  One draw per
+  //    live node in index order, as rng_.chance(crash_rate) would make it
+  //    (crash_rate >= 1 draws nothing).  The draws run on a local copy of
+  //    the stream: the byte loads of crashed_ may alias a member, which
+  //    would force the generator state through memory on every draw.
   if (params_.crash_rate > 0.0) {
+    util::Rng rng = rng_;
+    const bool certain = params_.crash_rate >= 1.0;
+    const std::uint64_t threshold =
+        util::Rng::chance_threshold(params_.crash_rate);
     for (net::NodeIndex v = 0; v < crashed_.size(); ++v) {
-      if (crashed_[v] || !rng_.chance(params_.crash_rate)) continue;
+      if (crashed_[v] || !(certain || rng.below_threshold(threshold))) {
+        continue;
+      }
       crash(v);
       double downtime = 1.0;
       if (params_.mean_downtime > 0.0) {
-        downtime += std::floor(rng_.exponential(1.0 / params_.mean_downtime));
+        downtime += std::floor(rng.exponential(1.0 / params_.mean_downtime));
       }
       restart_tick_[v] = tick + static_cast<std::uint64_t>(downtime);
+      restarts_.emplace(restart_tick_[v], v);
       ++counters_.random_crashes;
       if constexpr (obs::kEnabled) chaos_cells().crashes->add();
     }
+    rng_ = rng;
   }
 }
 
@@ -176,49 +192,50 @@ void ChaosEngine::revive(net::NodeIndex v) {
 
 bool ChaosEngine::crashed(net::NodeIndex v) const {
   util::MutexLock lock(mu_);
-  return v < crashed_.size() && crashed_[v] != 0;
+  return is_crashed(v);
 }
 
-bool ChaosEngine::severed(net::NodeIndex a, net::NodeIndex b) const {
-  util::MutexLock lock(mu_);
+bool ChaosEngine::is_severed(net::NodeIndex a, net::NodeIndex b) const {
   if (!partition_on_) return false;
   const std::uint8_t sa = a < side_.size() ? side_[a] : 0;
   const std::uint8_t sb = b < side_.size() ? side_[b] : 0;
   return sa != sb;
 }
 
-bool ChaosEngine::draw_burst_drop() {
+bool ChaosEngine::severed(net::NodeIndex a, net::NodeIndex b) const {
   util::MutexLock lock(mu_);
-  return hop_rng_.chance(params_.burst_drop);
+  return is_severed(a, b);
 }
 
 double ChaosEngine::slowdown_of(net::NodeIndex v) const {
   util::MutexLock lock(mu_);
-  return v < slow_.size() && slow_[v] != 0 ? params_.slowdown_ms : 0.0;
+  return slow_ms(v);
 }
 
-void ChaosEngine::note_crash_drop() {
+ChaosEngine::HopFault ChaosEngine::hop_fault(net::NodeIndex from,
+                                             net::NodeIndex to) {
   util::MutexLock lock(mu_);
-  ++counters_.crash_drops;
-  if constexpr (obs::kEnabled) chaos_cells().crash_drops->add();
-}
-
-void ChaosEngine::note_partition_drop() {
-  util::MutexLock lock(mu_);
-  ++counters_.partition_drops;
-  if constexpr (obs::kEnabled) chaos_cells().partition_drops->add();
-}
-
-void ChaosEngine::note_burst_drop() {
-  util::MutexLock lock(mu_);
-  ++counters_.burst_drops;
-  if constexpr (obs::kEnabled) chaos_cells().burst_drops->add();
-}
-
-void ChaosEngine::note_slowdown_hop() {
-  util::MutexLock lock(mu_);
-  ++counters_.slowdown_hops;
-  if constexpr (obs::kEnabled) chaos_cells().slowdown_hops->add();
+  if (is_crashed(from) || is_crashed(to)) {
+    ++counters_.crash_drops;
+    if constexpr (obs::kEnabled) chaos_cells().crash_drops->add();
+    return {.drop = true};
+  }
+  if (is_severed(from, to)) {
+    ++counters_.partition_drops;
+    if constexpr (obs::kEnabled) chaos_cells().partition_drops->add();
+    return {.drop = true};
+  }
+  if (burst_on_ && hop_rng_.chance(params_.burst_drop)) {
+    ++counters_.burst_drops;
+    if constexpr (obs::kEnabled) chaos_cells().burst_drops->add();
+    return {.drop = true};
+  }
+  const double slow = slow_ms(from) + slow_ms(to);
+  if (slow > 0.0) {
+    ++counters_.slowdown_hops;
+    if constexpr (obs::kEnabled) chaos_cells().slowdown_hops->add();
+  }
+  return {.delay_ms = slow};
 }
 
 net::HopDecision ChaosDelivery::on_hop(const net::Envelope& envelope,
@@ -227,24 +244,9 @@ net::HopDecision ChaosDelivery::on_hop(const net::Envelope& envelope,
   // fault stream stays aligned with the equivalent chaos-free run.
   net::HopDecision d = inner_->on_hop(envelope, from, to);
   if (d.drop) return d;
-  if (engine_->crashed(from) || engine_->crashed(to)) {
-    d.drop = true;
-    engine_->note_crash_drop();
-  } else if (engine_->severed(from, to)) {
-    d.drop = true;
-    engine_->note_partition_drop();
-  } else if (engine_->burst_active() && engine_->draw_burst_drop()) {
-    d.drop = true;
-    engine_->note_burst_drop();
-  }
-  if (!d.drop) {
-    const double slow =
-        engine_->slowdown_of(from) + engine_->slowdown_of(to);
-    if (slow > 0.0) {
-      d.delay_ms += slow;
-      engine_->note_slowdown_hop();
-    }
-  }
+  const ChaosEngine::HopFault fault = engine_->hop_fault(from, to);
+  d.drop = fault.drop;
+  if (fault.delay_ms > 0.0) d.delay_ms += fault.delay_ms;
   return d;
 }
 

@@ -23,7 +23,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "hirep/system.hpp"
@@ -73,7 +76,7 @@ class ChaosEngine {
     return now_;
   }
 
-  // -- wire-level queries (ChaosDelivery) ----------------------------------
+  // -- wire-level queries ---------------------------------------------------
   bool crashed(net::NodeIndex v) const;
   /// True when an active partition separates a and b.
   bool severed(net::NodeIndex a, net::NodeIndex b) const;
@@ -81,10 +84,18 @@ class ChaosEngine {
     util::MutexLock lock(mu_);
     return burst_on_;
   }
-  /// Draws from the engine's hop stream; call only while burst_active().
-  bool draw_burst_drop();
   /// Extra per-hop delay contributed by node v (0 unless v is slowed).
   double slowdown_of(net::NodeIndex v) const;
+
+  /// The overlay's verdict on one hop the inner policy let through.
+  struct HopFault {
+    bool drop = false;
+    double delay_ms = 0.0;  ///< slowdown delay (0 when dropped)
+  };
+  /// ChaosDelivery's one call per hop, under one lock: a crashed endpoint
+  /// drops the hop, else an active cut, else a burst-loss draw; a surviving
+  /// hop picks up both endpoints' slowdown.  Tallies the outcome.
+  HopFault hop_fault(net::NodeIndex from, net::NodeIndex to);
 
   /// Fault bookkeeping, mirrored into the obs registry under sim.chaos.*.
   struct Counters {
@@ -105,16 +116,18 @@ class ChaosEngine {
     return counters_;
   }
 
-  // -- ChaosDelivery tallies -----------------------------------------------
-  void note_crash_drop();
-  void note_partition_drop();
-  void note_burst_drop();
-  void note_slowdown_hop();
-
  private:
   void step(std::uint64_t tick) HIREP_REQUIRES(mu_);
   void crash(net::NodeIndex v) HIREP_REQUIRES(mu_);
   void revive(net::NodeIndex v) HIREP_REQUIRES(mu_);
+  bool is_crashed(net::NodeIndex v) const HIREP_REQUIRES(mu_) {
+    return v < crashed_.size() && crashed_[v] != 0;
+  }
+  bool is_severed(net::NodeIndex a, net::NodeIndex b) const
+      HIREP_REQUIRES(mu_);
+  double slow_ms(net::NodeIndex v) const HIREP_REQUIRES(mu_) {
+    return v < slow_.size() && slow_[v] != 0 ? params_.slowdown_ms : 0.0;
+  }
 
   core::HirepSystem* system_;
   ChaosParams params_;
@@ -131,6 +144,13 @@ class ChaosEngine {
   std::vector<std::uint8_t> crashed_ HIREP_GUARDED_BY(mu_);
   std::vector<std::uint64_t> restart_tick_
       HIREP_GUARDED_BY(mu_);  ///< 0 = no pending restart
+  /// Due-queue of (restart tick, node), earliest first: one entry per churn
+  /// crash, so a tick costs O(due restarts), not a scan of restart_tick_.
+  /// An entry whose restart_tick_ no longer matches is stale and skipped.
+  std::priority_queue<std::pair<std::uint64_t, net::NodeIndex>,
+                      std::vector<std::pair<std::uint64_t, net::NodeIndex>>,
+                      std::greater<>>
+      restarts_ HIREP_GUARDED_BY(mu_);
   std::vector<std::uint8_t> side_
       HIREP_GUARDED_BY(mu_);  ///< partition side (1 = minority)
   std::vector<std::uint8_t> slow_

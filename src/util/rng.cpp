@@ -52,14 +52,6 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
-double Rng::exponential(double lambda) noexcept {
-  double u;
-  do {
-    u = uniform();
-  } while (u == 0.0);
-  return -std::log(u) / lambda;
-}
-
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
   // Partial Fisher-Yates over an index vector; O(n) setup, O(k) swaps.
   std::vector<std::size_t> idx(n);

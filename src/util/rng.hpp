@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -54,6 +55,17 @@ class Rng {
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool chance(double p) noexcept;
+
+  /// The integer form of chance(p) for 0 < p < 1: draw for draw,
+  /// chance(p) == below_threshold(chance_threshold(p)).  uniform() is
+  /// k * 2^-53 for the top 53 bits k of a draw, and p * 2^53 is exact, so
+  /// uniform() < p  <=>  k < p * 2^53  <=>  k < ceil(p * 2^53).  Outside
+  /// (0, 1) the threshold is 0 or 2^53 (same verdict), but chance() then
+  /// skips the draw, so a caller must too.
+  static std::uint64_t chance_threshold(double p) noexcept;
+  bool below_threshold(std::uint64_t threshold) noexcept {
+    return ((*this)() >> 11) < threshold;
+  }
 
   /// Standard normal via Marsaglia polar method.
   double normal() noexcept;
@@ -126,6 +138,20 @@ inline bool Rng::chance(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform() < p;
+}
+
+inline std::uint64_t Rng::chance_threshold(double p) noexcept {
+  if (!(p > 0.0)) return 0;  // also NaN, which chance() never accepts
+  if (p >= 1.0) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+
+inline double Rng::exponential(double lambda) noexcept {
+  double u;
+  do {
+    u = uniform();
+  } while (u == 0.0);
+  return -std::log(u) / lambda;
 }
 
 }  // namespace hirep::util

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <tuple>
+#include <unordered_set>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -217,6 +220,102 @@ TEST(DedupTable, IdleIdsAgeOutAfterTheTimeWindow) {
   EXPECT_TRUE(table.first_application(8, 150.0));
   EXPECT_TRUE(table.first_application(9, 300.0));
   EXPECT_TRUE(table.first_application(7, 450.0));
+}
+
+/// The two-generation ledger as it was first written, over node-based
+/// sets: the oracle for the flat open-addressed table.
+class SetDedupModel {
+ public:
+  SetDedupModel(std::size_t capacity, double window_ms)
+      : capacity_(capacity == 0 ? 1 : capacity), window_ms_(window_ms) {}
+
+  bool first_application(std::uint64_t id, double now_ms) {
+    const bool full = current_.size() >= capacity_;
+    const bool stale =
+        !current_.empty() && now_ms - window_start_ >= window_ms_;
+    if (full || stale) {
+      prev_ = std::move(current_);
+      current_.clear();
+      window_start_ = now_ms;
+    }
+    if (current_.contains(id)) return false;
+    if (prev_.contains(id)) {
+      current_.insert(id);
+      return false;
+    }
+    current_.insert(id);
+    return true;
+  }
+  std::size_t size() const { return current_.size() + prev_.size(); }
+
+ private:
+  std::size_t capacity_;
+  double window_ms_;
+  double window_start_ = 0.0;
+  std::unordered_set<std::uint64_t> current_;
+  std::unordered_set<std::uint64_t> prev_;
+};
+
+TEST(DedupTable, MatchesTheTwoGenerationSetModel) {
+  struct Case {
+    std::size_t capacity;
+    double window_ms;
+  };
+  // Capacity 0 and 1 rotate on every new id; the small windows expire
+  // generations between bursts; the large one never expires.
+  const Case cases[] = {{0, 1e9},  {1, 1e9},   {1, 5.0},    {7, 1e9},
+                        {64, 40.0}, {64, 1e9}, {4096, 60'000.0}};
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const Case& c : cases) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << "capacity " << c.capacity
+                                      << ", window " << c.window_ms
+                                      << ", seed " << seed);
+      DedupTable table(c.capacity, c.window_ms);
+      SetDedupModel model(c.capacity, c.window_ms);
+      util::Rng rng(seed);
+      std::vector<std::uint64_t> seen;
+      double now = 0.0;
+      for (int step = 0; step < 20'000; ++step) {
+        now += rng.chance(0.01) ? rng.uniform(0.0, 100.0) : rng.uniform();
+        std::uint64_t id = 0;
+        const double kind = rng.uniform();
+        if (kind < 0.05) {
+          id = rng.chance(0.5) ? 0 : kMax;  // both ends of the id space
+        } else if (kind < 0.45 && !seen.empty()) {
+          // Repeats, biased to recent ids so refresh-from-prev fires.
+          const std::size_t back =
+              rng.below(std::min<std::size_t>(seen.size(), 2 * c.capacity + 8));
+          id = seen[seen.size() - 1 - back];
+        } else if (kind < 0.75) {
+          id = seen.size();  // sequential, like request ids
+        } else {
+          id = rng();
+        }
+        seen.push_back(id);
+        ASSERT_EQ(table.first_application(id, now),
+                  model.first_application(id, now))
+            << "step " << step << " id " << id;
+        ASSERT_EQ(table.size(), model.size()) << "step " << step;
+        ASSERT_LE(table.size(), table.capacity());
+      }
+    }
+  }
+}
+
+TEST(DedupTable, SentinelIdsRefreshFromThePreviousGeneration) {
+  // Id 0 and UINT64_MAX are ordinary ids, including across a rotation:
+  // seen again from the previous generation they are refreshed, so they
+  // survive the next rotation too.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  DedupTable table(/*capacity=*/2, /*window_ms=*/1e9);
+  EXPECT_TRUE(table.first_application(0, 0.0));
+  EXPECT_TRUE(table.first_application(kMax, 0.0));
+  EXPECT_TRUE(table.first_application(5, 0.0));  // rotates {0, max} to prev
+  EXPECT_FALSE(table.first_application(0, 0.0));  // refreshed
+  EXPECT_TRUE(table.first_application(6, 0.0));  // rotates {5, 0} to prev
+  EXPECT_FALSE(table.first_application(0, 0.0));
+  EXPECT_TRUE(table.first_application(kMax, 0.0));  // aged out: new again
 }
 
 TEST(ReliableDuplicates, SuppressionTableStaysBoundedUnderSustainedRetries) {

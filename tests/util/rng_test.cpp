@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -134,6 +136,61 @@ TEST(Rng, ChanceEdgeCases) {
     EXPECT_FALSE(rng.chance(-0.5));
     EXPECT_TRUE(rng.chance(1.5));
   }
+}
+
+// chance_threshold is the integer form of chance(p) the churn loop draws
+// with: for every p in (0, 1) and every draw, chance(p) must equal
+// below_threshold(chance_threshold(p)).  The boundary cases check the
+// comparison on the 53-bit values right around the threshold, where a
+// rounding slip would show; the random cases check whole streams.
+TEST(Rng, ChanceThresholdMatchesChance) {
+  std::vector<double> ps = {
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      1e-300,
+      0x1.0p-60,
+      0x1.0p-53,  // exactly 1 * 2^-53
+      3 * 0x1.0p-53,
+      0x1.0p-1,
+      (0x1.0p52 + 1) * 0x1.0p-53,
+      (0x1.0p53 - 1) * 0x1.0p-53,  // 1 - 2^-53, the largest p below 1
+      0.0002,
+      0.01,
+      1.0 / 3.0,
+  };
+  for (const double k : {1.0, 3.0, 12345.0, 0x1.0p52, 0x1.0p53 - 2}) {
+    const double exact = k * 0x1.0p-53;
+    ps.push_back(std::nextafter(exact, 0.0));
+    ps.push_back(std::nextafter(exact, 1.0));
+  }
+  Rng pick(99);
+  for (int i = 0; i < 200; ++i) ps.push_back(pick.uniform());
+  for (int i = 0; i < 50; ++i) ps.push_back(std::ldexp(pick.uniform(), -30));
+
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  for (const double p : ps) {
+    ASSERT_GT(p, 0.0);
+    ASSERT_LT(p, 1.0);
+    const std::uint64_t threshold = Rng::chance_threshold(p);
+    SCOPED_TRACE(testing::Message() << "p = " << std::hexfloat << p);
+    // uniform() is k * 2^-53 for the draw's top 53 bits k.
+    for (std::uint64_t k = threshold < 2 ? 0 : threshold - 2;
+         k <= threshold + 1 && k < kTop; ++k) {
+      EXPECT_EQ(static_cast<double>(k) * 0x1.0p-53 < p, k < threshold)
+          << "k = " << k;
+    }
+    Rng a(static_cast<std::uint64_t>(p * 1e9) + 1);
+    Rng b = a;
+    for (int draw = 0; draw < 2000; ++draw) {
+      ASSERT_EQ(a.chance(p), b.below_threshold(threshold)) << draw;
+    }
+  }
+  // Outside (0, 1) the verdict still agrees; chance() just skips the draw.
+  EXPECT_EQ(Rng::chance_threshold(0.0), 0u);
+  EXPECT_EQ(Rng::chance_threshold(-1.0), 0u);
+  EXPECT_EQ(Rng::chance_threshold(std::nan("")), 0u);
+  EXPECT_EQ(Rng::chance_threshold(1.0), kTop);
+  EXPECT_EQ(Rng::chance_threshold(2.0), kTop);
 }
 
 TEST(Rng, ChanceFrequencyMatchesP) {
